@@ -21,10 +21,8 @@ from .hierarchy import (
     write_tree,
 )
 from .linalg import (
-    MatrixNorms,
     col_l21_prox,
     elementwise_shrink,
-    matrix_norms,
     svt,
     sym_eig_smallest,
 )

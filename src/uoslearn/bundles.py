@@ -8,12 +8,13 @@ one-vs-all SVM. Round-trips are lossless.
 
 from __future__ import annotations
 
-import struct
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .codec import Reader, Writer
 from .errors import ConfigError, DataError
 from .sequences import (
     LeafSet,
@@ -65,154 +66,120 @@ class KnnModel:
         return knn_classify(test, self.train, leaves, self.k, table)
 
 
-def _write_array(fh, arr, dtype):
-    fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-
-
-def _write_leaves(fh, leaves: LeafSet):
-    fh.write(struct.pack("<I", len(leaves)))
-    for basis in leaves.bases:
-        fh.write(struct.pack("<II", basis.shape[0], basis.shape[1]))
-        _write_array(fh, basis, "<f8")
-
-
-def _read_leaves(fh) -> LeafSet:
-    (count,) = struct.unpack("<I", fh.read(4))
-    bases = []
-    for _ in range(count):
-        rows, cols = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(8 * rows * cols), dtype="<f8")
-        bases.append(data.reshape(rows, cols).copy())
-    return LeafSet(bases)
-
-
-def _write_assignment(fh, psi):
-    psi = np.asarray(psi, dtype=int)
-    fh.write(struct.pack("<I", len(psi)))
-    _write_array(fh, psi, "<u4")
-
-
-def _read_assignment(fh) -> np.ndarray:
-    (length,) = struct.unpack("<I", fh.read(4))
-    return np.frombuffer(fh.read(4 * length), dtype="<u4").astype(int)
-
-
 def save_model_bundle(path, leaves: LeafSet, model, open_set: bool = False) -> None:
     """Write a bundle; `open_set` marks a one-vs-all SVM for open-set prediction."""
-    with open(path, "wb") as fh:
-        fh.write(BUNDLE_MAGIC)
-        fh.write(struct.pack("<I", BUNDLE_VERSION))
-        if isinstance(model, KnnModel):
-            kind = KIND_KNN_OPEN if model.open_set else KIND_KNN
-            fh.write(struct.pack("<B", kind))
-            _write_leaves(fh, leaves)
-            fh.write(struct.pack("<Id", model.k, model.varsigma))
-            ceilings = model.ceilings or {}
-            fh.write(struct.pack("<I", len(ceilings)))
-            for cid in sorted(ceilings):
-                fh.write(struct.pack("<id", cid, ceilings[cid]))
-            fh.write(struct.pack("<I", len(model.train)))
-            for s in model.train:
-                if s.label is None or s.assignment is None:
-                    raise ConfigError("training sequences need labels and assignments")
-                fh.write(struct.pack("<i", s.label))
-                fh.write(struct.pack("<II", *s.features.shape))
-                _write_array(fh, s.features, "<f8")
-                _write_assignment(fh, s.assignment)
-        elif isinstance(model, MulticlassSvmModel):
-            if model.mode == "one_vs_one":
-                kind = KIND_SVM_OVO
-            else:
-                kind = KIND_SVM_OPEN if open_set else KIND_SVM_OVA
-            fh.write(struct.pack("<B", kind))
-            _write_leaves(fh, leaves)
-            fh.write(struct.pack("<dd", model.nu, model.c))
-            fh.write(struct.pack("<I", len(model.train_assignments)))
-            for label, psi in zip(model.labels, model.train_assignments):
-                fh.write(struct.pack("<i", int(label)))
-                _write_assignment(fh, psi)
-            fh.write(struct.pack("<I", len(model.models)))
-            for key in sorted(model.models):
-                binary, idx = model.models[key]
-                ca, cb = key if isinstance(key, tuple) else (key, -1)
-                fh.write(struct.pack("<iid", ca, cb, binary.bias))
-                fh.write(struct.pack("<I", len(idx)))
-                _write_array(fh, idx, "<u4")
-                _write_array(fh, binary.alpha, "<f8")
-                _write_array(fh, binary.y, "<f8")
+    writer = Writer(BUNDLE_MAGIC, BUNDLE_VERSION)
+    if isinstance(model, KnnModel):
+        writer.fields("B", KIND_KNN_OPEN if model.open_set else KIND_KNN)
+        writer.matrices(leaves.bases)
+        writer.fields("Id", model.k, model.varsigma)
+        ceilings = model.ceilings or {}
+        writer.fields("I", len(ceilings))
+        for cid in sorted(ceilings):
+            writer.fields("id", cid, ceilings[cid])
+        writer.fields("I", len(model.train))
+        for s in model.train:
+            if s.label is None or s.assignment is None:
+                raise ConfigError("training sequences need labels and assignments")
+            writer.fields("i", s.label)
+            writer.matrix(s.features)
+            writer.indices(s.assignment)
+    elif isinstance(model, MulticlassSvmModel):
+        if model.mode == "one_vs_one":
+            kind = KIND_SVM_OVO
         else:
-            raise ConfigError(f"cannot bundle model of type {type(model).__name__}")
+            kind = KIND_SVM_OPEN if open_set else KIND_SVM_OVA
+        writer.fields("B", kind)
+        writer.matrices(leaves.bases)
+        writer.fields("ddI", model.nu, model.c, len(model.train_assignments))
+        for label, psi in zip(model.labels, model.train_assignments):
+            writer.fields("i", int(label))
+            writer.indices(psi)
+        writer.fields("I", len(model.models))
+        for key in sorted(model.models):
+            binary, idx = model.models[key]
+            ca, cb = key if isinstance(key, tuple) else (key, -1)
+            writer.fields("iid", ca, cb, binary.bias)
+            writer.indices(idx)
+            writer.array(binary.alpha, "<f8")
+            writer.array(binary.y, "<f8")
+    else:
+        raise ConfigError(f"cannot bundle model of type {type(model).__name__}")
+    writer.save(path)
 
 
 def load_model_bundle(path):
-    """Load a bundle; returns (leaves, model, kind)."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        if fh.read(4) != BUNDLE_MAGIC:
-            raise DataError(f"{path}: not a model bundle (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != BUNDLE_VERSION:
-            raise DataError(f"{path}: unsupported bundle version {version}")
-        (kind,) = struct.unpack("<B", fh.read(1))
-        leaves = _read_leaves(fh)
-        if kind in (KIND_KNN, KIND_KNN_OPEN):
-            k, varsigma = struct.unpack("<Id", fh.read(12))
-            (n_ceil,) = struct.unpack("<I", fh.read(4))
-            ceilings = {}
-            for _ in range(n_ceil):
-                cid, ceil = struct.unpack("<id", fh.read(12))
-                ceilings[cid] = ceil
-            (n_train,) = struct.unpack("<I", fh.read(4))
-            train = []
-            for _ in range(n_train):
-                (label,) = struct.unpack("<i", fh.read(4))
-                rows, cols = struct.unpack("<II", fh.read(8))
-                feats = np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(
-                    rows, cols
-                )
-                psi = _read_assignment(fh)
-                train.append(
-                    SequenceSample(features=feats.copy(), label=label, assignment=psi)
-                )
-            model = KnnModel(
-                train=train,
-                k=k,
-                open_set=(kind == KIND_KNN_OPEN),
-                varsigma=varsigma,
-                ceilings=ceilings or None,
-            )
-            return leaves, model, kind
-        if kind in _SVM_KINDS:
-            nu, c = struct.unpack("<dd", fh.read(16))
-            (n_train,) = struct.unpack("<I", fh.read(4))
-            labels = []
-            assignments = []
-            for _ in range(n_train):
-                (label,) = struct.unpack("<i", fh.read(4))
-                labels.append(label)
-                assignments.append(_read_assignment(fh))
-            (n_models,) = struct.unpack("<I", fh.read(4))
-            models = {}
-            for _ in range(n_models):
-                ca, cb, bias = struct.unpack("<iid", fh.read(16))
-                (n_sub,) = struct.unpack("<I", fh.read(4))
-                idx = np.frombuffer(fh.read(4 * n_sub), dtype="<u4").astype(int)
-                alpha = np.frombuffer(fh.read(8 * n_sub), dtype="<f8").copy()
-                y = np.frombuffer(fh.read(8 * n_sub), dtype="<f8").copy()
-                key = (ca, cb) if cb >= 0 else ca
-                models[key] = (BinarySvmModel(alpha=alpha, y=y, bias=bias), idx)
-            labels_arr = np.asarray(labels, dtype=int)
-            model = MulticlassSvmModel(
-                mode=_SVM_KINDS[kind],
-                classes=sorted(set(labels)),
-                train_assignments=assignments,
-                labels=labels_arr,
-                nu=nu,
-                c=c,
-                models=models,
-            )
-            return leaves, model, kind
+    """Load a bundle; returns (leaves, model, kind).
+
+    Beyond the codec's checks, assignments must index the stored leaves,
+    k-NN frames must match their dimension, and the SVM binary models must
+    be exactly one per class pair (one-vs-one) or per class (one-vs-all).
+    """
+    reader = Reader(path, BUNDLE_MAGIC, BUNDLE_VERSION, "model bundle")
+    (kind,) = reader.fields("B")
+    if kind not in (KIND_KNN, KIND_KNN_OPEN, *_SVM_KINDS):
         raise DataError(f"{path}: unknown bundle kind {kind}")
+    leaves = LeafSet(reader.matrices())
+    if kind in (KIND_KNN, KIND_KNN_OPEN):
+        k, varsigma, n_ceil = reader.fields("IdI")
+        ceilings = dict(reader.fields("id") for _ in range(n_ceil))
+        (n_train,) = reader.fields("I")
+        train = []
+        for _ in range(n_train):
+            (label,) = reader.fields("i")
+            feats = reader.matrix()
+            if feats.shape[0] != leaves.ambient_dim:
+                raise DataError(f"{path}: training frames do not match the leaves")
+            psi = reader.indices(len(leaves))
+            train.append(SequenceSample(features=feats, label=label, assignment=psi))
+        labels = [s.label for s in train]
+        if ceilings and set(ceilings) != set(labels):
+            raise DataError(f"{path}: ceilings do not match the training classes")
+        model = KnnModel(
+            train=train,
+            k=k,
+            open_set=(kind == KIND_KNN_OPEN),
+            varsigma=varsigma,
+            ceilings=ceilings or None,
+        )
+    else:
+        nu, c, n_train = reader.fields("ddI")
+        labels = []
+        assignments = []
+        for _ in range(n_train):
+            labels.append(reader.fields("i")[0])
+            assignments.append(reader.indices(len(leaves)))
+        classes = sorted(set(labels))
+        # Stored (ca, cb) pair -> model key; one-vs-all stores cb = -1.
+        if kind == KIND_SVM_OVO:
+            keys = {pair: pair for pair in itertools.combinations(classes, 2)}
+        else:
+            keys = {(ci, -1): ci for ci in classes}
+        (n_models,) = reader.fields("I")
+        models = {}
+        for _ in range(n_models):
+            ca, cb, bias = reader.fields("iid")
+            if (ca, cb) not in keys:
+                raise DataError(f"{path}: binary model ({ca}, {cb}) does not fit the bundle")
+            idx = reader.indices(n_train)
+            alpha = reader.array("<f8", len(idx))
+            y = reader.array("<f8", len(idx))
+            models[keys[ca, cb]] = (BinarySvmModel(alpha=alpha, y=y, bias=bias), idx)
+        if len(models) != len(keys):
+            raise DataError(f"{path}: bundle lacks binary models")
+        model = MulticlassSvmModel(
+            mode=_SVM_KINDS[kind],
+            classes=classes,
+            train_assignments=assignments,
+            labels=np.asarray(labels, dtype=int),
+            nu=nu,
+            c=c,
+            models=models,
+        )
+    reader.done()
+    if not labels:
+        raise DataError(f"{path}: bundle holds no training sequences")
+    return leaves, model, kind
 
 
 def predict_with_bundle(model, kind: int, test: SequenceSample, leaves: LeafSet):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -95,9 +96,12 @@ def cfg_int(cfg, key, default=None) -> int:
 def cfg_float(cfg, key, default=None) -> float:
     raw = need(cfg, key) if default is None else cfg.get(key, str(default))
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key} must be a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be finite, got {raw!r}")
+    return value
 
 
 def cfg_bool(cfg, key, default=False) -> bool:

@@ -4,19 +4,19 @@ Feature matrices travel either as CSV (one sample per row, optional
 header) or as the flat binary format: a 16-byte little-endian header
 (magic "UOSF", u32 version, u32 m, u32 N) followed by m*N float64 values
 stored column by column, so each sample's m values are contiguous.
-Leaf-basis files use the same conventions under the magic "UOSL".
+Leaf-basis files (magic "UOSL") hold the bases as counted float64
+matrices. Both are read and written through `codec`.
 """
 
 from __future__ import annotations
 
-import struct
-import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .codec import Reader, Writer
 from .errors import ConfigError, DataError
 from .sequences import LeafSet, SequenceSample
 from .solver import FeatureMatrix
@@ -90,29 +90,20 @@ def write_feature_csv(path, data: np.ndarray) -> None:
 
 
 def read_feature_bin(path) -> np.ndarray:
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 16 or raw[:4] != FEATURE_MAGIC:
-        raise DataError(f"{path}: not a feature binary (bad magic)")
-    version, m, n = struct.unpack("<III", raw[4:16])
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported version {version}")
-    expected = 16 + 8 * m * n
-    if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    flat = np.frombuffer(raw, dtype="<f8", offset=16)
-    data = flat.reshape((m, n), order="F").copy()
+    reader = Reader(path, FEATURE_MAGIC, FORMAT_VERSION, "feature binary")
+    m, n = reader.fields("II")
+    data = np.ascontiguousarray(reader.array("<f8", m * n).reshape(n, m).T)
+    reader.done()
     _validate_entries(data, path)
     return data
 
 
 def write_feature_bin(path, data: np.ndarray) -> None:
     data = np.asarray(data, dtype=float)
-    m, n = data.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<III", FORMAT_VERSION, m, n))
-        fh.write(np.asfortranarray(data).tobytes(order="F"))
+    writer = Writer(FEATURE_MAGIC, FORMAT_VERSION)
+    writer.fields("II", *data.shape)
+    writer.array(data.T, "<f8")  # column by column
+    writer.save(path)
 
 
 def load_feature_matrix(manifest: DatasetManifest) -> FeatureMatrix:
@@ -161,27 +152,15 @@ def write_boundaries(path, spans) -> None:
 
 
 def save_leaves(path, leaves: LeafSet) -> None:
-    with open(path, "wb") as fh:
-        fh.write(LEAVES_MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, len(leaves)))
-        for basis in leaves.bases:
-            fh.write(struct.pack("<II", basis.shape[0], basis.shape[1]))
-            fh.write(np.ascontiguousarray(basis, dtype="<f8").tobytes())
+    writer = Writer(LEAVES_MAGIC, FORMAT_VERSION)
+    writer.matrices(leaves.bases)
+    writer.save(path)
 
 
 def load_leaves(path) -> LeafSet:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        if fh.read(4) != LEAVES_MAGIC:
-            raise DataError(f"{path}: not a leaf-basis file (bad magic)")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != FORMAT_VERSION:
-            raise DataError(f"{path}: unsupported version {version}")
-        bases = []
-        for _ in range(count):
-            rows, cols = struct.unpack("<II", fh.read(8))
-            basis = np.frombuffer(fh.read(8 * rows * cols), dtype="<f8")
-            bases.append(basis.reshape(rows, cols).copy())
+    reader = Reader(path, LEAVES_MAGIC, FORMAT_VERSION, "leaf-basis file")
+    bases = reader.matrices()
+    reader.done()
     return LeafSet(bases)
 
 
@@ -218,7 +197,3 @@ def save_sequence_dataset(directory, samples: list[SequenceSample]) -> None:
     write_boundaries(directory / "boundaries.txt", spans)
     write_labels(directory / "labels.txt", [s.label for s in samples])
 
-
-def diag(message: str) -> None:
-    """Diagnostic line on the error stream."""
-    print(message, file=sys.stderr)

@@ -8,11 +8,11 @@ than the parent subspace and both child dimensions clear a minimum.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .codec import Reader, Writer
 from .errors import ConfigError, DataError, DimensionError
 from .linalg import RANK_TOL, as_matrix, fix_eigvec_signs
 from .solver import (
@@ -225,61 +225,38 @@ def hcs_lrr(
     next_seed = lambda: int(rng.integers(0, 2**63 - 1))
     nodes: list[SubspaceNode] = []
 
-    def new_node(level: int, indices: np.ndarray, divisible: bool) -> SubspaceNode:
-        u, d = estimate_subspace(x.data[:, indices], hier_config.gamma)
-        node = SubspaceNode(
-            node_id=len(nodes),
-            level=level,
-            indices=np.sort(indices),
-            basis=u,
-            dim=d,
-            divisible=divisible,
+    def fitted(indices: np.ndarray):
+        return (indices, *estimate_subspace(x.data[:, indices], hier_config.gamma))
+
+    def new_node(level, indices, basis, dim, divisible=True) -> SubspaceNode:
+        nodes.append(
+            SubspaceNode(len(nodes), level, np.sort(indices), basis, dim, divisible)
         )
-        nodes.append(node)
-        return node
+        return nodes[-1]
 
     # Level 1: unconditional bisection of the whole sample set.
     root_sides = _bisect(np.arange(n), w, next_seed())
     if root_sides is None:
-        new_node(1, np.arange(n), False)
+        new_node(1, *fitted(np.arange(n)), divisible=False)
         return HierarchyTree(nodes, p_max, n, result.converged, result.iterations)
-    level_nodes = [new_node(1, idx, True) for idx in root_sides]
+    level_nodes = [new_node(1, *fitted(idx)) for idx in root_sides]
 
-    # Level 2: unconditional bisection of each level-1 cluster.
-    if p_max >= 2:
-        next_level = []
-        for node in level_nodes:
-            sides = _bisect(node.indices, w, next_seed()) if node.size >= 2 else None
-            if sides is None:
-                node.divisible = False
-                continue
-            kids = [new_node(2, idx, True) for idx in sides]
-            node.children = (kids[0].node_id, kids[1].node_id)
-            next_level.extend(kids)
-        level_nodes = next_level
-
-    # Levels p >= 2: gain-tested splits.
-    for _ in range(2, p_max):
+    # Level 2 bisects unconditionally; deeper levels apply the gain test.
+    for level in range(2, p_max + 1):
         next_level = []
         for node in level_nodes:
             if not node.divisible or node.size < 2:
                 node.divisible = False
                 continue
-            outcome = try_split(node, x, w, hier_config, next_seed())
-            if outcome is None:
+            if level == 2:
+                sides = _bisect(node.indices, w, next_seed())
+                outcome = sides and [fitted(idx) for idx in sides]
+            else:
+                outcome = try_split(node, x, w, hier_config, next_seed())
+            if not outcome:
+                node.divisible = False
                 continue
-            kids = []
-            for idx, u, d in outcome:
-                child = SubspaceNode(
-                    node_id=len(nodes),
-                    level=node.level + 1,
-                    indices=np.sort(idx),
-                    basis=u,
-                    dim=d,
-                    divisible=True,
-                )
-                nodes.append(child)
-                kids.append(child)
+            kids = [new_node(level, *child) for child in outcome]
             node.children = (kids[0].node_id, kids[1].node_id)
             next_level.extend(kids)
         level_nodes = next_level
@@ -304,62 +281,46 @@ def tree_summary(tree: HierarchyTree) -> str:
 
 def write_tree(tree: HierarchyTree, path) -> None:
     """Serialize the tree to the versioned little-endian binary format."""
-    with open(path, "wb") as fh:
-        fh.write(TREE_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIBI",
-                TREE_VERSION,
-                len(tree.nodes),
-                tree.max_level,
-                1 if tree.solver_converged else 0,
-                tree.solver_iterations,
-            )
-        )
-        fh.write(struct.pack("<I", tree.n_samples))
-        for n in tree.nodes:
-            fh.write(struct.pack("<IIB", n.node_id, n.level, 1 if n.divisible else 0))
-            kids = n.children if n.children is not None else ()
-            fh.write(struct.pack("<B", len(kids)))
-            for c in kids:
-                fh.write(struct.pack("<I", c))
-            fh.write(struct.pack("<I", n.size))
-            fh.write(np.ascontiguousarray(n.indices, dtype="<u4").tobytes())
-            fh.write(struct.pack("<II", n.basis.shape[0], n.basis.shape[1]))
-            fh.write(np.ascontiguousarray(n.basis, dtype="<f8").tobytes())
+    writer = Writer(TREE_MAGIC, TREE_VERSION)
+    writer.fields(
+        "IIBII",
+        len(tree.nodes),
+        tree.max_level,
+        1 if tree.solver_converged else 0,
+        tree.solver_iterations,
+        tree.n_samples,
+    )
+    for n in tree.nodes:
+        kids = n.children if n.children is not None else ()
+        writer.fields("IIBB", n.node_id, n.level, 1 if n.divisible else 0, len(kids))
+        writer.array(kids, "<u4")
+        writer.indices(n.indices)
+        writer.matrix(n.basis)
+    writer.save(path)
 
 
 def read_tree(path) -> HierarchyTree:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != TREE_MAGIC:
-            raise DataError(f"bad tree magic {magic!r}")
-        version, n_nodes, max_level, converged, iters = struct.unpack(
-            "<IIIBI", fh.read(17)
+    """Load a tree, rejecting node ids out of order and out-of-range children or samples."""
+    reader = Reader(path, TREE_MAGIC, TREE_VERSION, "hierarchy tree")
+    n_nodes, max_level, converged, iters, n_samples = reader.fields("IIBII")
+    nodes = []
+    for position in range(n_nodes):
+        node_id, level, divisible, n_kids = reader.fields("IIBB")
+        if node_id != position or n_kids not in (0, 2):
+            raise DataError(f"{path}: malformed node record {position}")
+        kids = tuple(reader.indices(n_nodes, n_kids).tolist())
+        indices = reader.indices(n_samples)
+        basis = reader.matrix()
+        nodes.append(
+            SubspaceNode(
+                node_id=node_id,
+                level=level,
+                indices=indices,
+                basis=basis,
+                dim=basis.shape[1],
+                divisible=bool(divisible),
+                children=kids or None,
+            )
         )
-        if version != TREE_VERSION:
-            raise DataError(f"unsupported tree version {version}")
-        (n_samples,) = struct.unpack("<I", fh.read(4))
-        nodes = []
-        for _ in range(n_nodes):
-            node_id, level, divisible = struct.unpack("<IIB", fh.read(9))
-            (n_kids,) = struct.unpack("<B", fh.read(1))
-            kids = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(n_kids))
-            (size,) = struct.unpack("<I", fh.read(4))
-            indices = np.frombuffer(fh.read(4 * size), dtype="<u4").astype(int)
-            rows, cols = struct.unpack("<II", fh.read(8))
-            basis = np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(
-                rows, cols
-            )
-            nodes.append(
-                SubspaceNode(
-                    node_id=node_id,
-                    level=level,
-                    indices=indices,
-                    basis=basis.copy(),
-                    dim=cols,
-                    divisible=bool(divisible),
-                    children=kids if n_kids else None,
-                )
-            )
+    reader.done()
     return HierarchyTree(nodes, max_level, n_samples, bool(converged), iters)

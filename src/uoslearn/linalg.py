@@ -6,8 +6,6 @@ NaN/Inf entries are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, DimensionError
@@ -26,30 +24,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains non-finite entries")
     return arr
-
-
-@dataclass(frozen=True)
-class MatrixNorms:
-    nuclear: float
-    l1: float
-    l21: float
-    frobenius: float
-    linf: float
-    spectral: float
-
-
-def matrix_norms(a) -> MatrixNorms:
-    """Compute the standard matrix norms of `a` in one pass."""
-    a = as_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    return MatrixNorms(
-        nuclear=float(s.sum()),
-        l1=float(np.abs(a).sum()),
-        l21=float(np.linalg.norm(a, axis=0).sum()),
-        frobenius=float(np.linalg.norm(a)),
-        linf=float(np.abs(a).max()),
-        spectral=float(s[0]),
-    )
 
 
 def spectral_norm(a) -> float:
@@ -104,11 +78,6 @@ def col_l21_prox(c, tau: float) -> np.ndarray:
     nz = norms > 0
     scale[nz] = np.maximum(1.0 - tau / norms[nz], 0.0)
     return c * scale
-
-
-def row_l21_prox(c, tau: float) -> np.ndarray:
-    """Row-wise group shrinkage; the transpose counterpart of col_l21_prox."""
-    return col_l21_prox(np.asarray(c, dtype=float).T, tau).T
 
 
 def fix_eigvec_signs(v: np.ndarray) -> np.ndarray:

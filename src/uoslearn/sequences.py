@@ -54,14 +54,17 @@ class LeafSet:
         if not self.bases:
             raise DimensionError("leaf set must be nonempty")
         self.bases = [as_matrix(b, "leaf basis") for b in self.bases]
-        m = self.bases[0].shape[0]
         for b in self.bases:
-            if b.shape[0] != m:
+            if b.shape[0] != self.ambient_dim:
                 raise DimensionError("leaf bases must share the ambient dimension")
 
     @classmethod
     def from_tree(cls, tree) -> "LeafSet":
         return cls([leaf.basis for leaf in tree.leaves()])
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.bases[0].shape[0]
 
     @property
     def dims(self) -> list[int]:
@@ -78,6 +81,10 @@ def assign_to_leaves(sample, leaves: LeafSet) -> np.ndarray:
     raw m x n column matrix.
     """
     feats = sample.features if isinstance(sample, SequenceSample) else as_matrix(sample)
+    if feats.shape[0] != leaves.ambient_dim:
+        raise DimensionError(
+            f"frames have dimension {feats.shape[0]}, leaves {leaves.ambient_dim}"
+        )
     sq = (feats * feats).sum(axis=0)
     if np.any(sq <= 0):
         raise DataError("cannot assign a zero feature vector")

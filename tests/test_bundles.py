@@ -101,6 +101,27 @@ class TestSvmBundle:
         preds = [predict_with_bundle(loaded, kind, s, leaves) for s in test[:5]]
         assert all(p is None or isinstance(p, int) for p in preds)
 
+    @pytest.mark.parametrize(
+        "mode, tamper, match",
+        [
+            (MODE_ONE_VS_ONE, lambda m: m.models.update({(2, 0): m.models.pop((0, 2))}), "fit"),
+            (MODE_ONE_VS_ALL, lambda m: m.models.update({9: m.models.pop(1)}), "fit"),
+            (MODE_ONE_VS_ALL, lambda m: m.models.pop(2), "lacks"),
+            (MODE_ONE_VS_ONE, lambda m: m.models[(0, 1)][1].__setitem__(0, 99), "range"),
+        ],
+        ids=["ovo-reversed-pair", "ova-unknown-class", "ova-missing-class", "index-range"],
+    )
+    def test_models_must_fit_the_stored_classes(self, tmp_path, mode, tamper, match):
+        train, _, leaves = setup_data(seed=5)
+        model = svm_train_multiclass(
+            [s.assignment for s in train], [s.label for s in train], leaves, mode=mode
+        )
+        tamper(model)
+        path = tmp_path / "svm.uosm"
+        save_model_bundle(path, leaves, model)
+        with pytest.raises(DataError, match=match):
+            load_model_bundle(path)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.uosm"
         p.write_bytes(b"XXXX" + b"\x00" * 16)

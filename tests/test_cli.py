@@ -29,6 +29,25 @@ def uos_dataset(tmp_path):
     return tmp_path
 
 
+@pytest.fixture
+def seq_dataset(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "s.cfg",
+        kind="sequences",
+        m=20,
+        leaves=4,
+        leaf_dim=2,
+        classes=3,
+        train_per_class=5,
+        test_per_class=3,
+        jitter=0.02,
+    )
+    out = tmp_path / "d"
+    code, _, _ = run_cli(capsys, "synth", "--config", cfg, "--seed", "2", "--out", str(out))
+    assert code == 0
+    return out
+
+
 class TestSynthCommand:
     def test_uos_pipeline_smoke(self, tmp_path, capsys):
         cfg = write_config(
@@ -202,24 +221,6 @@ class TestHierarchyCommand:
 
 
 class TestClassifyCommand:
-    @pytest.fixture
-    def seq_dataset(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "s.cfg",
-            kind="sequences",
-            m=20,
-            leaves=4,
-            leaf_dim=2,
-            classes=3,
-            train_per_class=5,
-            test_per_class=3,
-            jitter=0.02,
-        )
-        out = tmp_path / "d"
-        code, _, _ = run_cli(capsys, "synth", "--config", cfg, "--seed", "2", "--out", str(out))
-        assert code == 0
-        return out
-
     def test_knn_classify(self, tmp_path, seq_dataset, capsys):
         cfg = write_config(tmp_path / "k.cfg", classifier="knn", k=2)
         code, records, _ = run_cli(
@@ -254,6 +255,29 @@ class TestClassifyCommand:
         p2 = [r["predicted"] for r in rec2 if r["record"] == "prediction"]
         assert p1 == p2
 
+    @pytest.mark.parametrize("damage, message", [(None, "dimension"), (-1, "truncated")])
+    def test_unusable_tree_exits_2(self, tmp_path, uos_dataset, capsys, damage, message):
+        kv = dict(data=str(uos_dataset / "features.bin"), levels=2, method="sclrr")
+        kv["lambda"] = 10.0
+        tree = tmp_path / "tree.uost"
+        code, _, _ = run_cli(
+            capsys, "hierarchy", "--config", write_config(tmp_path / "h.cfg", **kv),
+            "--out", str(tree),
+        )
+        assert code == 0
+        tree.write_bytes(tree.read_bytes()[:damage])
+        scfg = write_config(
+            tmp_path / "s.cfg", kind="sequences", m=12, leaves=3, leaf_dim=2, classes=2,
+            train_per_class=3, test_per_class=1,
+        )
+        out = tmp_path / "d12"
+        assert run_cli(capsys, "synth", "--config", scfg, "--out", str(out))[0] == 0
+        code, _, err = run_cli(
+            capsys, "classify", "--data", str(out), "--classifier", "knn", "--tree", str(tree)
+        )
+        assert code == 2
+        assert message in err
+
 
 class TestCliErrors:
     def test_unknown_subcommand_usage_exit_2(self, capsys):
@@ -263,6 +287,25 @@ class TestCliErrors:
 
     def test_no_subcommand_exit_2(self, capsys):
         assert cli_main([]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value, argv",
+        [
+            ("lambda", "nan", ["cluster", "--clusters", "3"]),
+            ("epsilon", "inf", ["cluster", "--clusters", "3"]),
+            ("c", "nan", ["classify", "--classifier", "svm-ovo"]),
+            ("varsigma", "nan", ["classify", "--classifier", "knn", "--open"]),
+        ],
+    )
+    def test_non_finite_number_exits_2(
+        self, tmp_path, uos_dataset, seq_dataset, capsys, key, value, argv
+    ):
+        data = seq_dataset if argv[0] == "classify" else uos_dataset / "features.bin"
+        code, _, err = run_cli(
+            capsys, *argv, "--set", f"data={data}", "--set", f"{key}={value}"
+        )
+        assert code == 2
+        assert f"config key {key} must be finite" in err
 
     def test_malformed_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -7,7 +7,6 @@ from uoslearn.errors import DataError, DimensionError
 from uoslearn.linalg import (
     col_l21_prox,
     elementwise_shrink,
-    matrix_norms,
     svt,
     sym_eig_smallest,
 )
@@ -15,32 +14,6 @@ from uoslearn.linalg import (
 
 def nuclear_objective(z, a, tau):
     return tau * np.linalg.svd(z, compute_uv=False).sum() + 0.5 * np.sum((z - a) ** 2)
-
-
-class TestMatrixNorms:
-    def test_identity(self):
-        n = matrix_norms(np.eye(3))
-        assert n.nuclear == pytest.approx(3.0)
-        assert n.spectral == pytest.approx(1.0)
-        assert n.frobenius == pytest.approx(np.sqrt(3.0))
-
-    def test_zero_matrix(self):
-        n = matrix_norms(np.zeros((4, 2)))
-        assert (n.nuclear, n.l1, n.l21, n.frobenius, n.linf, n.spectral) == (0,) * 6
-
-    def test_single_column(self):
-        n = matrix_norms(np.array([[3.0], [4.0]]))
-        assert n.l21 == pytest.approx(5.0)
-        assert n.l1 == pytest.approx(7.0)
-        assert n.linf == pytest.approx(4.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionError):
-            matrix_norms(np.zeros((0, 3)))
-
-    def test_nan_rejected(self):
-        with pytest.raises(DataError):
-            matrix_norms(np.array([[1.0, np.nan]]))
 
 
 class TestSvt:

@@ -84,6 +84,11 @@ class TestAssignToLeaves:
         phi = np.eye(4)[:, :1]
         assert assign_to_leaves(SequenceSample(features=phi), leaves)[0] == 0
 
+    def test_frame_dimension_must_match_leaves(self, rng):
+        leaves = random_leaves(rng, m=10)
+        with pytest.raises(DimensionError, match="dimension"):
+            assign_to_leaves(seq_from_columns(rng.standard_normal((6, 3))), leaves)
+
 
 class TestSubspaceDistance:
     def test_identical_zero(self, rng):
