@@ -9,6 +9,7 @@ one-vs-all SVM. Round-trips are lossless.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,12 +109,18 @@ def save_model_bundle(path, leaves: LeafSet, model, open_set: bool = False) -> N
     writer.save(path)
 
 
+def _check(path, ok, message: str) -> None:
+    if not ok:
+        raise DataError(f"{path}: {message}")
+
+
 def load_model_bundle(path):
     """Load a bundle; returns (leaves, model, kind).
 
     Beyond the codec's checks, assignments must index the stored leaves,
     k-NN frames must match their dimension, and the SVM binary models must
     be exactly one per class pair (one-vs-one) or per class (one-vs-all).
+    Scalars are range-checked as listed in the README's "File formats".
     """
     reader = Reader(path, BUNDLE_MAGIC, BUNDLE_VERSION, "model bundle")
     (kind,) = reader.fields("B")
@@ -123,6 +130,10 @@ def load_model_bundle(path):
     if kind in (KIND_KNN, KIND_KNN_OPEN):
         k, varsigma, n_ceil = reader.fields("IdI")
         ceilings = dict(reader.fields("id") for _ in range(n_ceil))
+        _check(path, k >= 1, "k must be >= 1")
+        _check(path, math.isfinite(varsigma), "varsigma must be finite")
+        _check(path, kind == KIND_KNN or varsigma > 1, "open-set varsigma must be > 1")
+        _check(path, all(map(math.isfinite, ceilings.values())), "ceilings must be finite")
         (n_train,) = reader.fields("I")
         train = []
         for _ in range(n_train):
@@ -144,6 +155,8 @@ def load_model_bundle(path):
         )
     else:
         nu, c, n_train = reader.fields("ddI")
+        _check(path, 0 < nu < math.inf, "nu must be positive and finite")
+        _check(path, 0 < c < math.inf, "c must be positive and finite")
         labels = []
         assignments = []
         for _ in range(n_train):
@@ -164,6 +177,8 @@ def load_model_bundle(path):
             idx = reader.indices(n_train)
             alpha = reader.array("<f8", len(idx))
             y = reader.array("<f8", len(idx))
+            _check(path, np.isfinite([bias, *alpha]).all(), "bias and alpha must be finite")
+            _check(path, (np.abs(y) == 1).all(), "signs y must be +/-1")
             models[keys[ca, cb]] = (BinarySvmModel(alpha=alpha, y=y, bias=bias), idx)
         if len(models) != len(keys):
             raise DataError(f"{path}: bundle lacks binary models")

@@ -384,6 +384,9 @@ def cmd_classify(args) -> int:
                 nu=nu,
                 c=cfg_float(cfg, "c", 10.0),
             )
+            stalled = [str(key) for key, (m, _) in model.models.items() if not m.converged]
+            if stalled:
+                diag(f"SMO pass budget exhausted: binary models {', '.join(stalled)}")
             if open_set:
                 predictions = [open_set_svm(model, s.assignment, leaves) for s in test]
             else:

@@ -75,9 +75,6 @@ class HierarchyTree:
     solver_converged: bool
     solver_iterations: int = 0
 
-    def node(self, node_id: int) -> SubspaceNode:
-        return self.nodes[node_id]
-
     def leaves(self) -> list[SubspaceNode]:
         return [n for n in self.nodes if n.children is None]
 
@@ -91,17 +88,11 @@ class HierarchyTree:
             if n.level == level or (n.level < level and n.children is None)
         ]
 
-    def _labels(self, nodes: list[SubspaceNode]) -> np.ndarray:
+    def leaf_labels(self) -> np.ndarray:
         labels = np.full(self.n_samples, -1, dtype=int)
-        for pos, n in enumerate(nodes):
+        for pos, n in enumerate(self.leaves()):
             labels[n.indices] = pos
         return labels
-
-    def leaf_labels(self) -> np.ndarray:
-        return self._labels(self.leaves())
-
-    def labels_at(self, level: int) -> np.ndarray:
-        return self._labels(self.partition_at(level))
 
 
 def estimate_subspace(xc, gamma: float) -> tuple[np.ndarray, int]:

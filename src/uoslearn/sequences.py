@@ -66,10 +66,6 @@ class LeafSet:
     def ambient_dim(self) -> int:
         return self.bases[0].shape[0]
 
-    @property
-    def dims(self) -> list[int]:
-        return [b.shape[1] for b in self.bases]
-
     def __len__(self) -> int:
         return len(self.bases)
 
@@ -110,31 +106,43 @@ def subspace_distance(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     return float(np.sqrt(gap))
 
 
+def _pair_matrix(dist, items_a: list, items_b: list | None = None) -> np.ndarray:
+    """dist(a, b) row by row; items_b None: symmetric, zero diagonal, pairs i < j."""
+    if items_b is None:
+        n = len(items_a)
+        out = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                out[i, j] = out[j, i] = dist(items_a[i], items_a[j])
+        return out
+    out = np.zeros((len(items_a), len(items_b)))
+    for i, a in enumerate(items_a):
+        for j, b in enumerate(items_b):
+            out[i, j] = dist(a, b)
+    return out
+
+
 def leaf_distance_table(leaves: LeafSet) -> np.ndarray:
     """Symmetric table of subspace distances between all leaf pairs."""
-    n = len(leaves)
-    table = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            table[i, j] = table[j, i] = subspace_distance(
-                leaves.bases[i], leaves.bases[j]
-            )
-    return table
+    return _pair_matrix(subspace_distance, leaves.bases)
 
 
-def _dtw_cost(costs: np.ndarray) -> float:
-    """Min total cost over monotone warping paths of a dense cost matrix."""
+def _dtw_accumulate(costs: np.ndarray) -> list[list[float]]:
+    """Accumulated costs of monotone warping paths with steps (1,0), (0,1), (1,1).
+
+    acc[a + 1][b + 1] = costs[a, b] + min(acc[a][b + 1], acc[a + 1][b], acc[a][b]),
+    over a border of inf with acc[0][0] = 0; acc[n][m] is the DTW distance.
+    """
     n, m = costs.shape
     inf = float("inf")
-    prev = [inf] * (m + 1)
-    prev[0] = 0.0
+    acc = [[inf] * (m + 1) for _ in range(n + 1)]
+    acc[0][0] = 0.0
     for a in range(n):
-        cur = [inf] * (m + 1)
         row = costs[a].tolist()
+        prev, cur = acc[a], acc[a + 1]
         for b in range(m):
             cur[b + 1] = row[b] + min(prev[b + 1], cur[b], prev[b])
-        prev = cur
-    return float(prev[m])
+    return acc
 
 
 def dtw_grassmann(
@@ -158,28 +166,24 @@ def dtw_grassmann(
         if psi.min() < 0 or psi.max() >= n_leaves:
             raise DimensionError("assignment index out of range")
     table = leaf_distance_table(leaves) if cost_table is None else cost_table
-    return _dtw_cost(table[np.ix_(psi_a, psi_b)])
+    return float(_dtw_accumulate(table[np.ix_(psi_a, psi_b)])[-1][-1])
+
+
+def _pinned_run(path: np.ndarray) -> int:
+    """Length of the longest leading run over which one side's index stays fixed."""
+    longest = 1
+    for side in (0, 1):
+        run = 1
+        while run < len(path) and path[run, side] == path[0, side]:
+            run += 1
+        longest = max(longest, run)
+    return longest
 
 
 def _trim_pinned(path: np.ndarray) -> np.ndarray:
     """Drop boundary-pinned pairs, keeping one pair per pinned run."""
-    h = len(path)
-    lead = 1
-    for side in (0, 1):
-        run = 1
-        while run < h and path[run, side] == path[0, side]:
-            run += 1
-        lead = max(lead, run)
-    trimmed = path[lead - 1 :]
-    h = len(trimmed)
-    tail = 1
-    for side in (0, 1):
-        run = 1
-        while run < h and trimmed[h - 1 - run, side] == trimmed[h - 1, side]:
-            run += 1
-        tail = max(tail, run)
-    trimmed = trimmed[: h - tail + 1]
-    return trimmed if len(trimmed) else path
+    trimmed = path[_pinned_run(path) - 1 :]
+    return trimmed[: len(trimmed) - _pinned_run(trimmed[::-1]) + 1]
 
 
 def align_features_dtw(sample_a: SequenceSample, sample_b: SequenceSample) -> np.ndarray:
@@ -189,19 +193,9 @@ def align_features_dtw(sample_a: SequenceSample, sample_b: SequenceSample) -> np
     trimmed of redundant leading/trailing pairs where one side stays pinned
     at its first or last frame. Returns an (H, 2) array of index pairs.
     """
-    costs = cdist(sample_a.features.T, sample_b.features.T)
-    n, m = costs.shape
-    inf = float("inf")
-    acc = [[inf] * (m + 1) for _ in range(n + 1)]
-    acc[0][0] = 0.0
-    for a in range(n):
-        row = costs[a].tolist()
-        acc_a = acc[a]
-        acc_a1 = acc[a + 1]
-        for b in range(m):
-            acc_a1[b + 1] = row[b] + min(acc_a[b + 1], acc_a1[b], acc_a[b])
-    path = [(n - 1, m - 1)]
-    a, b = n - 1, m - 1
+    acc = _dtw_accumulate(cdist(sample_a.features.T, sample_b.features.T))
+    a, b = sample_a.length - 1, sample_b.length - 1
+    path = [(a, b)]
     while (a, b) != (0, 0):
         # Preference on cost ties: diagonal, then shrink a, then shrink b.
         moves = []
@@ -235,17 +229,21 @@ def sequence_distance(
     return float(table[psi_a[path[:, 0]], psi_b[path[:, 1]]].mean())
 
 
-def _ensure_assignment(sample: SequenceSample, leaves: LeafSet) -> np.ndarray:
+def _ensure_assignment(sample: SequenceSample, leaves: LeafSet) -> None:
     if sample.assignment is None:
         sample.assignment = assign_to_leaves(sample, leaves)
-    return sample.assignment
 
 
-def _class_ids(train: list[SequenceSample]) -> list[int]:
-    ids = sorted({s.label for s in train})
-    if any(i is None for i in ids):
-        raise ConfigError("all training sequences must carry labels")
-    return ids
+def _feature_aligned_distance(leaves: LeafSet, cost_table: np.ndarray):
+    return lambda a, b: sequence_distance(
+        a, b, a.assignment, b.assignment, leaves, cost_table
+    )
+
+
+def _mean_k_smallest(distances, k: int) -> float:
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    return float(np.mean(np.sort(distances)[:k]))
 
 
 def _test_class_distances(
@@ -256,18 +254,17 @@ def _test_class_distances(
     cost_table: np.ndarray,
 ) -> dict[int, float]:
     """Average distance from `test` to the k nearest members of each class."""
-    psi_t = _ensure_assignment(test, leaves)
+    for s in [test, *train]:
+        _ensure_assignment(s, leaves)
+    row = _pair_matrix(_feature_aligned_distance(leaves, cost_table), [test], train)[0]
     by_class: dict[int, list[float]] = {}
-    for s in train:
-        d = sequence_distance(
-            test, s, psi_t, _ensure_assignment(s, leaves), leaves, cost_table
-        )
+    for s, d in zip(train, row):
         by_class.setdefault(s.label, []).append(d)
     scores = {}
     for cid, dists in by_class.items():
         if len(dists) < k:
             raise ConfigError(f"class {cid} has fewer than k={k} training sequences")
-        scores[cid] = float(np.mean(np.sort(dists)[:k]))
+        scores[cid] = _mean_k_smallest(dists, k)
     return scores
 
 
@@ -282,8 +279,6 @@ def knn_classify(
 
     Ties break toward the lowest class id.
     """
-    if k < 1:
-        raise ConfigError("k must be >= 1")
     table = leaf_distance_table(leaves) if cost_table is None else cost_table
     scores = _test_class_distances(test, train, leaves, k, table)
     return min(scores, key=lambda cid: (scores[cid], cid))
@@ -302,6 +297,7 @@ def class_distance_ceilings(
     maximum of these averages. Every class needs at least k+1 members.
     """
     table = leaf_distance_table(leaves) if cost_table is None else cost_table
+    distance = _feature_aligned_distance(leaves, table)
     by_class: dict[int, list[SequenceSample]] = {}
     for s in train:
         by_class.setdefault(s.label, []).append(s)
@@ -309,18 +305,12 @@ def class_distance_ceilings(
     for cid, members in sorted(by_class.items()):
         if len(members) <= k:
             raise ConfigError(f"class {cid} needs more than k={k} members")
-        psis = [_ensure_assignment(s, leaves) for s in members]
-        n = len(members)
-        dist = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist[i, j] = dist[j, i] = sequence_distance(
-                    members[i], members[j], psis[i], psis[j], leaves, table
-                )
-        averages = [
-            float(np.mean(np.sort(np.delete(dist[i], i))[:k])) for i in range(n)
-        ]
-        ceilings[cid] = max(averages)
+        for s in members:
+            _ensure_assignment(s, leaves)
+        dist = _pair_matrix(distance, members)
+        ceilings[cid] = max(
+            _mean_k_smallest(np.delete(row, i), k) for i, row in enumerate(dist)
+        )
     return ceilings
 
 
@@ -361,20 +351,17 @@ def dtw_distance_matrix(
     With assignments_b None the symmetric within-set matrix is computed.
     """
     table = leaf_distance_table(leaves) if cost_table is None else cost_table
-    if assignments_b is None:
-        n = len(assignments_a)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = dtw_grassmann(
-                    assignments_a[i], assignments_a[j], leaves, table
-                )
-        return out
-    out = np.zeros((len(assignments_a), len(assignments_b)))
-    for i, pa in enumerate(assignments_a):
-        for j, pb in enumerate(assignments_b):
-            out[i, j] = dtw_grassmann(pa, pb, leaves, table)
-    return out
+    return _pair_matrix(
+        lambda pa, pb: dtw_grassmann(pa, pb, leaves, table), assignments_a, assignments_b
+    )
+
+
+def gaussian_kernel(distances, nu: float) -> np.ndarray:
+    """Entrywise Gaussian kernel exp(-d^2/nu^2) of warping distances."""
+    nu_sq = np.float64(nu) ** 2  # a huge nu saturates instead of raising OverflowError
+    if not (nu > 0 and nu_sq > 0):  # also rejects nan and a square that underflows
+        raise ConfigError("nu must be positive, with a nonzero square")
+    return np.exp(-(distances**2) / nu_sq)
 
 
 def gaussian_dtw_kernel(
@@ -388,10 +375,8 @@ def gaussian_dtw_kernel(
     The kernel is symmetric and positive entrywise but not guaranteed
     positive semidefinite; downstream solvers must tolerate indefiniteness.
     """
-    if nu <= 0:
-        raise ConfigError("nu must be positive")
     d = dtw_distance_matrix(assignments, None, leaves, cost_table)
-    k = np.exp(-(d**2) / nu**2)
+    k = gaussian_kernel(d, nu)
     np.fill_diagonal(k, 1.0)
     return (k + k.T) / 2.0
 

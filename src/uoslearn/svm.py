@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .linalg import as_matrix
-from .sequences import LeafSet, dtw_distance_matrix, median_bandwidth
+from .sequences import LeafSet, dtw_distance_matrix, gaussian_kernel, median_bandwidth
 
 _STEP_EPS = 1e-5
 _BOUND_EPS = 1e-8
@@ -25,11 +25,15 @@ class BinarySvmModel:
     """Dual variables and bias of a trained binary classifier.
 
     The decision function is f(x) = sum_i alpha_i y_i K(x_i, x) + bias.
+    converged: a full pass found no KKT violation within the pass budget.
+    passes: SMO passes run. Bundles store neither (loaded: True, 0).
     """
 
     alpha: np.ndarray
     y: np.ndarray
     bias: float
+    converged: bool = True
+    passes: int = 0
 
     def decision(self, k_cross: np.ndarray) -> np.ndarray:
         """Decision values for test columns of a train-by-test kernel block."""
@@ -168,6 +172,7 @@ def svm_train_binary(
         max_passes = 10 * n
     smo = _Smo(k, y, c, tol)
     examine_all = True
+    converged = False
     passes = 0
     while passes < max_passes:
         changed = 0
@@ -177,11 +182,12 @@ def svm_train_binary(
         passes += 1
         if examine_all:
             if changed == 0:
+                converged = True
                 break
             examine_all = False
         elif changed == 0:
             examine_all = True
-    return BinarySvmModel(alpha=smo.alpha, y=y.copy(), bias=float(smo.b))
+    return BinarySvmModel(smo.alpha, y.copy(), float(smo.b), converged, passes)
 
 
 @dataclass
@@ -198,12 +204,9 @@ class MulticlassSvmModel:
     # one_vs_all: keys ci, values (model, all indices)
     models: dict
 
-    def _kernel_column(self, psi, leaves: LeafSet) -> np.ndarray:
-        d = dtw_distance_matrix(self.train_assignments, [np.asarray(psi, int)], leaves)
-        return np.exp(-(d[:, 0] ** 2) / self.nu**2)
-
     def decision_scores(self, psi, leaves: LeafSet) -> dict:
-        kcol = self._kernel_column(psi, leaves)
+        d = dtw_distance_matrix(self.train_assignments, [np.asarray(psi, int)], leaves)
+        kcol = gaussian_kernel(d[:, 0], self.nu)
         return {
             key: float(model.decision(kcol[idx][:, None])[0])
             for key, (model, idx) in self.models.items()
@@ -240,7 +243,7 @@ def svm_train_multiclass(
     distances = dtw_distance_matrix(assignments, None, leaves)
     if nu is None:
         nu = median_bandwidth(distances)
-    kernel = np.exp(-(distances**2) / nu**2)
+    kernel = gaussian_kernel(distances, nu)
     np.fill_diagonal(kernel, 1.0)
     models = {}
     if mode == MODE_ONE_VS_ONE:

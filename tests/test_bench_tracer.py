@@ -1,0 +1,62 @@
+"""The benchmark's tracer wraps package functions by module and name.
+
+A refactor that drops or bypasses a traced name makes `--trace 1` crash or
+its per-layer counts read 0; these checks catch that in the tier-1 run.
+"""
+
+import importlib.util
+import sys
+from collections import Counter
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+from uoslearn.sequences import assign_to_leaves, open_set_knn
+from uoslearn.svm import svm_train_multiclass
+from uoslearn.synth import SequenceSynthConfig, generate_synthetic_sequences
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_target_is_a_callable_of_its_module(tracer):
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _, _ in tracer.TARGETS
+        if not callable(getattr(import_module(f"uoslearn.{module}"), attr, None))
+    ]
+    assert tracer.TARGETS and missing == []
+
+
+def test_dtw_spans_are_counted_per_pair(tracer):
+    cfg = SequenceSynthConfig(
+        m=12, leaves=3, leaf_dim=2, classes=2, sequences_per_class=4, seed=1
+    )
+    samples, leaves = generate_synthetic_sequences(cfg)
+    train, probe = samples[1:], samples[0]
+    psis = [assign_to_leaves(s, leaves) for s in train]
+    run = tracer.Tracer()
+    with run.installed():
+        svm_train_multiclass(psis, [s.label for s in train], leaves)
+        open_set_knn(probe, train, leaves, k=2)
+    spans = Counter(s.name for s in run.spans)
+    sizes = Counter(s.label for s in train).values()
+    assert spans["svm.kernel"] == 1
+    assert spans["svm.smo"] == 1
+    assert spans["sequences.assign_dtw"] == len(train) * (len(train) - 1) // 2
+    assert spans["sequences.ceilings"] == 1
+    assert spans["sequences.feature_dtw"] == len(train) + sum(
+        n * (n - 1) // 2 for n in sizes
+    )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,70 @@ class TestSvmBundle:
         p.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(DataError):
             load_model_bundle(p)
+
+
+def _set(name, value):
+    return lambda m: setattr(m, name, value)
+
+
+def _set_binary(name, value):
+    return lambda m: setattr(m.models[0][0], name, value)
+
+
+def _set_binary_entry(name, value):
+    return lambda m: getattr(m.models[0][0], name).__setitem__(0, value)
+
+
+class TestBundleScalarChecks:
+    @pytest.mark.parametrize(
+        "tamper, match",
+        [
+            (_set("k", 0), "k must be >= 1"),
+            (_set("varsigma", math.nan), "varsigma must be finite"),
+            (_set("varsigma", 1.0), "open-set varsigma must be > 1"),
+            (lambda m: m.ceilings.update({0: math.inf}), "ceilings must be finite"),
+        ],
+        ids=["k-zero", "varsigma-nan", "varsigma-one", "ceiling-inf"],
+    )
+    def test_knn_scalars(self, tmp_path, tamper, match):
+        train, _, leaves = setup_data(seed=2)
+        model = KnnModel(train=train, k=2, open_set=True, varsigma=1.3)
+        model.fit_ceilings(leaves)
+        tamper(model)
+        path = tmp_path / "knn-open.uosm"
+        save_model_bundle(path, leaves, model)
+        with pytest.raises(DataError, match=match):
+            load_model_bundle(path)
+
+    def test_closed_knn_keeps_any_finite_varsigma(self, tmp_path):
+        train, _, leaves = setup_data(seed=2)
+        path = tmp_path / "knn.uosm"
+        save_model_bundle(path, leaves, KnnModel(train=train, k=2, varsigma=0.5))
+        assert load_model_bundle(path)[1].varsigma == 0.5
+
+    @pytest.mark.parametrize(
+        "tamper, match",
+        [
+            (_set("nu", math.nan), "nu must be positive and finite"),
+            (_set("nu", -1.0), "nu must be positive and finite"),
+            (_set("c", 0.0), "c must be positive and finite"),
+            (_set("c", math.inf), "c must be positive and finite"),
+            (_set_binary("bias", math.nan), "bias and alpha must be finite"),
+            (_set_binary_entry("alpha", math.nan), "bias and alpha must be finite"),
+            (_set_binary_entry("y", 0.5), "signs y must be"),
+        ],
+        ids=["nu-nan", "nu-negative", "c-zero", "c-inf", "bias-nan", "alpha-nan", "y-half"],
+    )
+    def test_svm_scalars(self, tmp_path, tamper, match):
+        train, _, leaves = setup_data(seed=7)
+        model = svm_train_multiclass(
+            [s.assignment for s in train],
+            [s.label for s in train],
+            leaves,
+            mode=MODE_ONE_VS_ALL,
+        )
+        tamper(model)
+        path = tmp_path / "svm.uosm"
+        save_model_bundle(path, leaves, model)
+        with pytest.raises(DataError, match=match):
+            load_model_bundle(path)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from uoslearn import svm
 from uoslearn.cli import cli_main
 from uoslearn.datasets import write_feature_bin, write_labels
 from uoslearn.synth import UosSynthConfig, generate_synthetic_uos
@@ -255,6 +256,28 @@ class TestClassifyCommand:
         p2 = [r["predicted"] for r in rec2 if r["record"] == "prediction"]
         assert p1 == p2
 
+    def test_pass_budget_exhaustion_reported_on_stderr(
+        self, seq_dataset, capsys, monkeypatch
+    ):
+        argv = ["classify", "--data", str(seq_dataset), "--classifier", "svm-ovo"]
+        assert cli_main(argv) == 0
+        converged = capsys.readouterr()
+        assert "pass budget" not in converged.err
+        train_binary = svm.svm_train_binary
+
+        def one_pass_short(k, y, c, tol):
+            # The final pass of a converged run is a clean examine-all pass,
+            # so stopping before it leaves every model unchanged.
+            passes = train_binary(k, y, c, tol).passes
+            return train_binary(k, y, c, tol, max_passes=passes - 1)
+
+        monkeypatch.setattr(svm, "svm_train_binary", one_pass_short)
+        assert cli_main(argv) == 0
+        stalled = capsys.readouterr()
+        assert stalled.out == converged.out
+        assert stalled.err.count("pass budget") == 1
+        assert "binary models (0, 1), (0, 2), (1, 2)" in stalled.err
+
     @pytest.mark.parametrize("damage, message", [(None, "dimension"), (-1, "truncated")])
     def test_unusable_tree_exits_2(self, tmp_path, uos_dataset, capsys, damage, message):
         kv = dict(data=str(uos_dataset / "features.bin"), levels=2, method="sclrr")
@@ -306,6 +329,16 @@ class TestCliErrors:
         )
         assert code == 2
         assert f"config key {key} must be finite" in err
+
+    @pytest.mark.parametrize("nu", ["-1", "0", "1e-200"])
+    def test_nu_must_be_positive(self, seq_dataset, capsys, nu):
+        code, records, err = run_cli(
+            capsys, "classify", "--classifier", "svm-ovo",
+            "--set", f"data={seq_dataset}", "--set", f"nu={nu}",
+        )
+        assert code == 2
+        assert "nu must be positive" in err
+        assert records == []
 
     def test_malformed_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

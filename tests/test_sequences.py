@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from conftest import random_orthonormal, unit_columns
 from uoslearn.errors import ConfigError, DataError, DimensionError
@@ -50,6 +51,79 @@ def brute_force_dtw(psi_a, psi_b, table):
         cost = sum(table[psi_a[a], psi_b[b]] for a, b in path)
         best = min(best, cost)
     return best
+
+
+# The scalar DTW routines the shared warping engine replaced, kept verbatim
+# as references: the engine must reproduce them exactly, tie order included.
+def reference_dtw_cost(costs: np.ndarray) -> float:
+    """Min total cost over monotone warping paths of a dense cost matrix."""
+    n, m = costs.shape
+    inf = float("inf")
+    prev = [inf] * (m + 1)
+    prev[0] = 0.0
+    for a in range(n):
+        cur = [inf] * (m + 1)
+        row = costs[a].tolist()
+        for b in range(m):
+            cur[b + 1] = row[b] + min(prev[b + 1], cur[b], prev[b])
+        prev = cur
+    return float(prev[m])
+
+
+def reference_trim_pinned(path: np.ndarray) -> np.ndarray:
+    """Drop boundary-pinned pairs, keeping one pair per pinned run."""
+    h = len(path)
+    lead = 1
+    for side in (0, 1):
+        run = 1
+        while run < h and path[run, side] == path[0, side]:
+            run += 1
+        lead = max(lead, run)
+    trimmed = path[lead - 1 :]
+    h = len(trimmed)
+    tail = 1
+    for side in (0, 1):
+        run = 1
+        while run < h and trimmed[h - 1 - run, side] == trimmed[h - 1, side]:
+            run += 1
+        tail = max(tail, run)
+    trimmed = trimmed[: h - tail + 1]
+    return trimmed if len(trimmed) else path
+
+
+def reference_align_features_dtw(sample_a: SequenceSample, sample_b: SequenceSample) -> np.ndarray:
+    """Optimal warping path between two feature sequences, boundary-trimmed.
+
+    Standard DTW with Euclidean frame cost; the backtracked path is then
+    trimmed of redundant leading/trailing pairs where one side stays pinned
+    at its first or last frame. Returns an (H, 2) array of index pairs.
+    """
+    costs = cdist(sample_a.features.T, sample_b.features.T)
+    n, m = costs.shape
+    inf = float("inf")
+    acc = [[inf] * (m + 1) for _ in range(n + 1)]
+    acc[0][0] = 0.0
+    for a in range(n):
+        row = costs[a].tolist()
+        acc_a = acc[a]
+        acc_a1 = acc[a + 1]
+        for b in range(m):
+            acc_a1[b + 1] = row[b] + min(acc_a[b + 1], acc_a1[b], acc_a[b])
+    path = [(n - 1, m - 1)]
+    a, b = n - 1, m - 1
+    while (a, b) != (0, 0):
+        # Preference on cost ties: diagonal, then shrink a, then shrink b.
+        moves = []
+        if a > 0 and b > 0:
+            moves.append((acc[a][b], a - 1, b - 1))
+        if a > 0:
+            moves.append((acc[a][b + 1], a - 1, b))
+        if b > 0:
+            moves.append((acc[a + 1][b], a, b - 1))
+        _, a, b = min(moves, key=lambda t: t[0])
+        path.append((a, b))
+    path.reverse()
+    return reference_trim_pinned(np.asarray(path, dtype=int))
 
 
 def random_leaves(rng, m=10, dims=(2, 3, 2)):
@@ -187,6 +261,50 @@ class TestAlignFeaturesDtw:
         diffs = np.diff(path, axis=0)
         assert np.all(diffs >= 0)
         assert np.all(diffs.sum(axis=1) >= 1)
+
+
+class TestDtwEngineMatchesReference:
+    def test_assignment_dtw_exact(self, rng):
+        leaves = random_leaves(rng, m=12, dims=(2, 2, 2, 2))
+        for trial in range(300):
+            if trial % 2:
+                table = rng.integers(0, 3, size=(4, 4)).astype(float)  # full of ties
+            else:
+                table = rng.random((4, 4))
+            pa = rng.integers(0, 4, size=rng.integers(1, 13))
+            pb = rng.integers(0, 4, size=rng.integers(1, 13))
+            expected = reference_dtw_cost(table[np.ix_(pa, pb)])
+            assert dtw_grassmann(pa, pb, leaves, table) == expected
+
+    def test_feature_alignment_exact(self, rng):
+        # Frames drawn from a few signed axes give costs in {0, sqrt(2), 2},
+        # so most cells and many backtrack moves tie exactly.
+        signed_axes = np.hstack([np.eye(4), -np.eye(4)])
+        for trial in range(300):
+            la, lb = rng.integers(1, 13, size=2)
+            if trial % 2:
+                alphabet = signed_axes[:, : rng.integers(1, 9)]
+                fa = alphabet[:, rng.integers(0, alphabet.shape[1], size=la)]
+                fb = alphabet[:, rng.integers(0, alphabet.shape[1], size=lb)]
+            else:
+                fa = unit_columns(rng.standard_normal((4, la)))
+                fb = unit_columns(rng.standard_normal((4, lb)))
+            a, b = SequenceSample(features=fa), SequenceSample(features=fb)
+            assert np.array_equal(
+                align_features_dtw(a, b), reference_align_features_dtw(a, b)
+            )
+
+    def test_constant_cost_backtracks_diagonal_first(self):
+        # Identical frames make every cost 0, so every interior move ties.
+        long = SequenceSample(features=np.repeat(np.eye(3)[:, :1], 5, axis=1))
+        short = SequenceSample(features=np.repeat(np.eye(3)[:, :1], 3, axis=1))
+        for a, b, expected in [
+            (long, short, [[2, 0], [3, 1], [4, 2]]),
+            (short, long, [[0, 2], [1, 3], [2, 4]]),
+        ]:
+            path = align_features_dtw(a, b)
+            assert np.array_equal(path, expected)
+            assert np.array_equal(path, reference_align_features_dtw(a, b))
 
 
 class TestSequenceDistance:
@@ -329,6 +447,14 @@ class TestOpenSetKnn:
         with pytest.raises(ConfigError):
             class_distance_ceilings(train, leaves, k=3)
 
+    def test_k_must_be_positive(self):
+        samples, leaves = make_sequence_dataset(per_class=3)
+        train, test = split_by_class(samples, 2)
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            class_distance_ceilings(train, leaves, k=0)
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            open_set_knn(test[0], train, leaves, k=0, ceilings={0: 1.0, 1: 1.0, 2: 1.0})
+
 
 class TestGaussianKernel:
     def test_unit_diagonal_symmetric(self, rng):
@@ -344,6 +470,13 @@ class TestGaussianKernel:
         assigns = [s.assignment for s in samples[:6]]
         k = gaussian_dtw_kernel(assigns, leaves, nu=1e8)
         assert np.allclose(k, 1.0)
+
+    def test_huge_nu_gives_unit_kernel(self):
+        # nu**2 overflows a Python float; the kernel must saturate, not raise.
+        samples, leaves = make_sequence_dataset(seed=6)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            k = gaussian_dtw_kernel([s.assignment for s in samples[:4]], leaves, nu=1e200)
+        assert np.array_equal(k, np.ones((4, 4)))
 
     def test_median_bandwidth_positive(self, rng):
         d = np.abs(rng.standard_normal((7, 7)))

@@ -101,6 +101,19 @@ class TestBinarySvm:
         with pytest.raises(ConfigError):
             svm_train_binary(np.eye(3), np.ones(3), c=1.0)
 
+    def test_pass_budget_exhaustion_reported(self, rng):
+        pts = np.vstack([rng.normal(0, 0.6, (15, 3)), rng.normal(2.5, 0.6, (15, 3))])
+        y = np.concatenate([np.ones(15), -np.ones(15)])
+        k = rbf_kernel(pts, nu=2.0)
+        done = svm_train_binary(k, y, c=10.0)
+        assert done.converged and done.passes >= 2
+        cut = svm_train_binary(k, y, c=10.0, max_passes=1)
+        assert not cut.converged and cut.passes == 1
+        # One pass short skips only the final examine-all pass, which changed nothing.
+        short = svm_train_binary(k, y, c=10.0, max_passes=done.passes - 1)
+        assert not short.converged
+        assert np.array_equal(short.alpha, done.alpha) and short.bias == done.bias
+
     def test_deterministic(self, rng):
         pts = rng.standard_normal((16, 2))
         y = np.sign(pts[:, 1])
