@@ -22,7 +22,6 @@ from .sequences import (
     SequenceSample,
     class_distance_ceilings,
     knn_classify,
-    leaf_distance_table,
     open_set_knn,
 )
 from .svm import BinarySvmModel, MulticlassSvmModel, open_set_svm, svm_predict_multiclass
@@ -57,14 +56,11 @@ class KnnModel:
         if self.open_set and self.ceilings is None:
             self.ceilings = class_distance_ceilings(self.train, leaves, self.k)
 
-    def predict(self, test: SequenceSample, leaves: LeafSet, cost_table=None):
-        table = leaf_distance_table(leaves) if cost_table is None else cost_table
+    def predict(self, test: SequenceSample, leaves: LeafSet):
         if self.open_set:
             self.fit_ceilings(leaves)
-            return open_set_knn(
-                test, self.train, leaves, self.k, self.varsigma, self.ceilings, table
-            )
-        return knn_classify(test, self.train, leaves, self.k, table)
+            return open_set_knn(test, self.train, leaves, self.k, self.varsigma, self.ceilings)
+        return knn_classify(test, self.train, leaves, self.k)
 
 
 def save_model_bundle(path, leaves: LeafSet, model, open_set: bool = False) -> None:

@@ -18,7 +18,7 @@ from .bundles import KnnModel, load_model_bundle, predict_with_bundle, save_mode
 from .errors import ConfigError, DataError, DimensionError, NumericalError, UosError
 from .hierarchy import HierarchyConfig, hcs_lrr, read_tree, tree_summary, write_tree
 from .metrics import clustering_accuracy
-from .sequences import LeafSet, assign_to_leaves, leaf_distance_table
+from .sequences import LeafSet, assign_to_leaves
 from .solver import SolverConfig, build_affinity, cslrr_solve, threshold_coefficients
 from .spectral import spectral_cluster
 from .svm import (
@@ -340,8 +340,11 @@ def cmd_classify(args) -> int:
     cfg, base = load_config(args)
     data_dir = Path(args.data) if args.data else _resolve(base, need(cfg, "data"))
     test = datasets.load_sequence_dataset(data_dir / "test")
-    leaves = None
     if args.model:
+        ignored = ("save_model", "tree", "leaves", "classifier", "open")
+        clash = [f"--{name.replace('_', '-')}" for name in ignored if getattr(args, name)]
+        if clash:
+            raise ConfigError(f"--model cannot be combined with {', '.join(clash)}")
         leaves, model, kind = load_model_bundle(args.model)
         predictions = [predict_with_bundle(model, kind, s, leaves) for s in test]
         classifier = f"bundle:{kind}"
@@ -358,7 +361,6 @@ def cmd_classify(args) -> int:
                 f"unknown classifier {classifier!r}; expected one of {CLASSIFIERS}"
             )
         open_set = args.open or cfg_bool(cfg, "open", False)
-        table = leaf_distance_table(leaves)
         for s in train + test:
             s.assignment = assign_to_leaves(s, leaves)
         known = {int(s.label) for s in train}
@@ -370,7 +372,7 @@ def cmd_classify(args) -> int:
                 varsigma=cfg_float(cfg, "varsigma", 1.2),
             )
             model.fit_ceilings(leaves)
-            predictions = [model.predict(s, leaves, table) for s in test]
+            predictions = [model.predict(s, leaves) for s in test]
         else:
             mode = MODE_ONE_VS_ONE if classifier == "svm-ovo" else MODE_ONE_VS_ALL
             if open_set and mode != MODE_ONE_VS_ALL:

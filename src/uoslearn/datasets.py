@@ -73,14 +73,17 @@ def _normalize_columns(data: np.ndarray, source) -> np.ndarray:
 def read_feature_csv(path) -> np.ndarray:
     """CSV with one sample per row; a non-numeric first line is treated as a header."""
     path = Path(path)
-    with open(path) as fh:
-        first = fh.readline()
-        skip = 0
-        try:
-            [float(tok) for tok in first.replace(",", " ").split()]
-        except ValueError:
-            skip = 1
-    rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+            skip = 0
+            try:
+                [float(tok) for tok in first.replace(",", " ").split()]
+            except ValueError:
+                skip = 1
+        rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except ValueError as exc:  # also a file that is not UTF-8 text
+        raise DataError(f"{path}: malformed feature CSV: {exc}") from exc
     _validate_entries(rows, path)  # report positions in file coordinates
     return rows.T  # samples become columns
 
@@ -115,8 +118,10 @@ def load_feature_matrix(manifest: DatasetManifest) -> FeatureMatrix:
 
 
 def load_labels(path) -> np.ndarray:
-    labels = np.loadtxt(path, dtype=int, ndmin=1)
-    return labels
+    try:
+        return np.loadtxt(path, dtype=int, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: cannot read integer labels: {exc}") from exc
 
 
 def write_labels(path, labels) -> None:
@@ -126,15 +131,16 @@ def write_labels(path, labels) -> None:
 def load_boundaries(path, n_samples: int) -> list[tuple[int, int]]:
     """Half-open [start, end) sequence ranges; must partition [0, n_samples)."""
     spans = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataError(f"{path}: boundary lines need 'start end', got {line!r}")
-            spans.append((int(parts[0]), int(parts[1])))
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                start, end = line.split()
+                spans.append((int(start), int(end)))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: boundary lines need integers 'start end': {exc}") from exc
     cursor = 0
     for start, end in spans:
         if start != cursor or end <= start:

@@ -10,7 +10,7 @@ by the nearest-neighbor classifiers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -46,9 +46,14 @@ class SequenceSample:
 
 @dataclass
 class LeafSet:
-    """Orthonormal bases of the leaf subspaces."""
+    """Orthonormal bases of the leaf subspaces.
+
+    `distances` is the symmetric table of subspace distances between all
+    leaf pairs, computed once here; every warping cost reads it.
+    """
 
     bases: list[np.ndarray]
+    distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.bases:
@@ -57,6 +62,7 @@ class LeafSet:
         for b in self.bases:
             if b.shape[0] != self.ambient_dim:
                 raise DimensionError("leaf bases must share the ambient dimension")
+        self.distances = _pair_matrix(subspace_distance, self.bases)
 
     @classmethod
     def from_tree(cls, tree) -> "LeafSet":
@@ -122,11 +128,6 @@ def _pair_matrix(dist, items_a: list, items_b: list | None = None) -> np.ndarray
     return out
 
 
-def leaf_distance_table(leaves: LeafSet) -> np.ndarray:
-    """Symmetric table of subspace distances between all leaf pairs."""
-    return _pair_matrix(subspace_distance, leaves.bases)
-
-
 def _dtw_accumulate(costs: np.ndarray) -> list[list[float]]:
     """Accumulated costs of monotone warping paths with steps (1,0), (0,1), (1,1).
 
@@ -145,17 +146,11 @@ def _dtw_accumulate(costs: np.ndarray) -> list[list[float]]:
     return acc
 
 
-def dtw_grassmann(
-    psi_a,
-    psi_b,
-    leaves: LeafSet,
-    cost_table: np.ndarray | None = None,
-) -> float:
+def dtw_grassmann(psi_a, psi_b, leaves: LeafSet) -> float:
     """Warping distance between two leaf-assignment vectors.
 
     Dynamic programming over the cell costs d(S_a, S_b) of the assigned
-    subspaces, with steps (1,0), (0,1), (1,1). A precomputed
-    leaf_distance_table can be supplied to amortize repeated calls.
+    subspaces (read from `leaves.distances`), with steps (1,0), (0,1), (1,1).
     """
     psi_a = np.asarray(psi_a, dtype=int)
     psi_b = np.asarray(psi_b, dtype=int)
@@ -165,8 +160,7 @@ def dtw_grassmann(
     for psi in (psi_a, psi_b):
         if psi.min() < 0 or psi.max() >= n_leaves:
             raise DimensionError("assignment index out of range")
-    table = leaf_distance_table(leaves) if cost_table is None else cost_table
-    return float(_dtw_accumulate(table[np.ix_(psi_a, psi_b)])[-1][-1])
+    return float(_dtw_accumulate(leaves.distances[np.ix_(psi_a, psi_b)])[-1][-1])
 
 
 def _pinned_run(path: np.ndarray) -> int:
@@ -217,16 +211,14 @@ def sequence_distance(
     psi_a,
     psi_b,
     leaves: LeafSet,
-    cost_table: np.ndarray | None = None,
 ) -> float:
     """Mean subspace distance of assigned leaves along the feature-aligned path."""
     psi_a = np.asarray(psi_a, dtype=int)
     psi_b = np.asarray(psi_b, dtype=int)
     if len(psi_a) != sample_a.length or len(psi_b) != sample_b.length:
         raise DimensionError("assignments must match sequence lengths")
-    table = leaf_distance_table(leaves) if cost_table is None else cost_table
     path = align_features_dtw(sample_a, sample_b)
-    return float(table[psi_a[path[:, 0]], psi_b[path[:, 1]]].mean())
+    return float(leaves.distances[psi_a[path[:, 0]], psi_b[path[:, 1]]].mean())
 
 
 def _ensure_assignment(sample: SequenceSample, leaves: LeafSet) -> None:
@@ -234,10 +226,8 @@ def _ensure_assignment(sample: SequenceSample, leaves: LeafSet) -> None:
         sample.assignment = assign_to_leaves(sample, leaves)
 
 
-def _feature_aligned_distance(leaves: LeafSet, cost_table: np.ndarray):
-    return lambda a, b: sequence_distance(
-        a, b, a.assignment, b.assignment, leaves, cost_table
-    )
+def _feature_aligned_distance(leaves: LeafSet):
+    return lambda a, b: sequence_distance(a, b, a.assignment, b.assignment, leaves)
 
 
 def _mean_k_smallest(distances, k: int) -> float:
@@ -251,12 +241,11 @@ def _test_class_distances(
     train: list[SequenceSample],
     leaves: LeafSet,
     k: int,
-    cost_table: np.ndarray,
 ) -> dict[int, float]:
     """Average distance from `test` to the k nearest members of each class."""
     for s in [test, *train]:
         _ensure_assignment(s, leaves)
-    row = _pair_matrix(_feature_aligned_distance(leaves, cost_table), [test], train)[0]
+    row = _pair_matrix(_feature_aligned_distance(leaves), [test], train)[0]
     by_class: dict[int, list[float]] = {}
     for s, d in zip(train, row):
         by_class.setdefault(s.label, []).append(d)
@@ -273,22 +262,17 @@ def knn_classify(
     train: list[SequenceSample],
     leaves: LeafSet,
     k: int = 3,
-    cost_table: np.ndarray | None = None,
 ) -> int:
     """Class whose k nearest training sequences have the smallest average distance.
 
     Ties break toward the lowest class id.
     """
-    table = leaf_distance_table(leaves) if cost_table is None else cost_table
-    scores = _test_class_distances(test, train, leaves, k, table)
+    scores = _test_class_distances(test, train, leaves, k)
     return min(scores, key=lambda cid: (scores[cid], cid))
 
 
 def class_distance_ceilings(
-    train: list[SequenceSample],
-    leaves: LeafSet,
-    k: int,
-    cost_table: np.ndarray | None = None,
+    train: list[SequenceSample], leaves: LeafSet, k: int
 ) -> dict[int, float]:
     """Per-class open-set ceilings.
 
@@ -296,8 +280,7 @@ def class_distance_ceilings(
     same-class neighbors (excluding itself); the ceiling of a class is the
     maximum of these averages. Every class needs at least k+1 members.
     """
-    table = leaf_distance_table(leaves) if cost_table is None else cost_table
-    distance = _feature_aligned_distance(leaves, table)
+    distance = _feature_aligned_distance(leaves)
     by_class: dict[int, list[SequenceSample]] = {}
     for s in train:
         by_class.setdefault(s.label, []).append(s)
@@ -321,7 +304,6 @@ def open_set_knn(
     k: int = 3,
     varsigma: float = 1.2,
     ceilings: dict[int, float] | None = None,
-    cost_table: np.ndarray | None = None,
 ) -> int | None:
     """Nearest-neighbor classification with rejection of unfamiliar sequences.
 
@@ -332,10 +314,9 @@ def open_set_knn(
     """
     if varsigma <= 1:
         raise ConfigError("varsigma must be > 1")
-    table = leaf_distance_table(leaves) if cost_table is None else cost_table
     if ceilings is None:
-        ceilings = class_distance_ceilings(train, leaves, k, table)
-    scores = _test_class_distances(test, train, leaves, k, table)
+        ceilings = class_distance_ceilings(train, leaves, k)
+    scores = _test_class_distances(test, train, leaves, k)
     best = min(scores, key=lambda cid: (scores[cid], cid))
     return best if scores[best] <= ceilings[best] * varsigma else None
 
@@ -344,15 +325,13 @@ def dtw_distance_matrix(
     assignments_a: list[np.ndarray],
     assignments_b: list[np.ndarray] | None,
     leaves: LeafSet,
-    cost_table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pairwise warping distances between assignment vectors.
 
     With assignments_b None the symmetric within-set matrix is computed.
     """
-    table = leaf_distance_table(leaves) if cost_table is None else cost_table
     return _pair_matrix(
-        lambda pa, pb: dtw_grassmann(pa, pb, leaves, table), assignments_a, assignments_b
+        lambda pa, pb: dtw_grassmann(pa, pb, leaves), assignments_a, assignments_b
     )
 
 
@@ -365,17 +344,14 @@ def gaussian_kernel(distances, nu: float) -> np.ndarray:
 
 
 def gaussian_dtw_kernel(
-    assignments: list[np.ndarray],
-    leaves: LeafSet,
-    nu: float,
-    cost_table: np.ndarray | None = None,
+    assignments: list[np.ndarray], leaves: LeafSet, nu: float
 ) -> np.ndarray:
     """Gaussian kernel exp(-d^2/nu^2) over warping distances; unit diagonal.
 
     The kernel is symmetric and positive entrywise but not guaranteed
     positive semidefinite; downstream solvers must tolerate indefiniteness.
     """
-    d = dtw_distance_matrix(assignments, None, leaves, cost_table)
+    d = dtw_distance_matrix(assignments, None, leaves)
     k = gaussian_kernel(d, nu)
     np.fill_diagonal(k, 1.0)
     return (k + k.T) / 2.0

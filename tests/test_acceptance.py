@@ -25,7 +25,6 @@ from uoslearn.sequences import (
     class_distance_ceilings,
     dtw_grassmann,
     knn_classify,
-    leaf_distance_table,
     open_set_knn,
     subspace_distance,
 )
@@ -205,7 +204,7 @@ def test_criterion_5_dtw_exhaustive():
     for offset, d in ((0, 2), (2, 3), (5, 2)):
         bases.append(g[:, offset : offset + d])
     leaves = LeafSet(bases)
-    table = leaf_distance_table(leaves)
+    table = leaves.distances
 
     checked = 0
     max_gap = 0.0
@@ -221,7 +220,7 @@ def test_criterion_5_dtw_exhaustive():
                 np.minimum(best, cost, out=best)
             for i in range(len(va)):
                 for j in range(len(vb)):
-                    got = dtw_grassmann(va[i], vb[j], leaves, table)
+                    got = dtw_grassmann(va[i], vb[j], leaves)
                     gap = abs(got - best[i, j])
                     if gap > max_gap:
                         max_gap = gap
@@ -289,10 +288,9 @@ def test_criterion_8_classification_desk_scale():
         s.assignment = assign_to_leaves(s, leaves)
     train, test = split_by_class(samples, 20)
     assert len(train) == 80 and len(test) == 40
-    table = leaf_distance_table(leaves)
 
     knn_acc = np.mean(
-        [knn_classify(s, train, leaves, k=3, cost_table=table) == s.label for s in test]
+        [knn_classify(s, train, leaves, k=3) == s.label for s in test]
     )
     assert knn_acc >= 0.90
 
@@ -309,12 +307,12 @@ def test_criterion_8_classification_desk_scale():
 
     held_out = 3
     kept = [s for s in train if s.label != held_out]
-    ceilings = class_distance_ceilings(kept, leaves, k=3, cost_table=table)
+    ceilings = class_distance_ceilings(kept, leaves, k=3)
     best = None
     for varsigma in (1.05, 1.2, 1.5, 2.0, 3.0):
         preds = [
             open_set_knn(
-                s, kept, leaves, k=3, varsigma=varsigma, ceilings=ceilings, cost_table=table
+                s, kept, leaves, k=3, varsigma=varsigma, ceilings=ceilings
             )
             for s in test
         ]

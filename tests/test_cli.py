@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from uoslearn import svm
+from uoslearn import sequences, svm
 from uoslearn.cli import cli_main
-from uoslearn.datasets import write_feature_bin, write_labels
+from uoslearn.datasets import write_feature_bin, write_feature_csv, write_labels
 from uoslearn.synth import UosSynthConfig, generate_synthetic_uos
 
 
@@ -278,6 +278,50 @@ class TestClassifyCommand:
         assert stalled.err.count("pass budget") == 1
         assert "binary models (0, 1), (0, 2), (1, 2)" in stalled.err
 
+    def test_leaf_distance_table_built_once_per_leaf_set(
+        self, tmp_path, seq_dataset, capsys, monkeypatch
+    ):
+        bundle = tmp_path / "model.uosm"
+        data = ["classify", "--data", str(seq_dataset)]
+        distance, post_init = sequences.subspace_distance, sequences.LeafSet.__post_init__
+        calls, built = [], []
+
+        def counted_distance(a, b):
+            calls.append((a, b))
+            return distance(a, b)
+
+        def counted_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(sequences, "subspace_distance", counted_distance)
+        monkeypatch.setattr(sequences.LeafSet, "__post_init__", counted_post_init)
+        for argv in (
+            [*data, "--classifier", "svm-ovo", "--save-model", str(bundle)],
+            [*data, "--model", str(bundle)],
+        ):
+            calls.clear()
+            built.clear()
+            assert cli_main(argv) == 0
+            n_leaves = len(built[0])
+            assert len(built) == 1
+            assert len(calls) == len(built) * n_leaves * (n_leaves - 1) // 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag", ["--save-model", "--tree", "--leaves", "--classifier", "--open"]
+    )
+    def test_model_rejects_flags_it_would_ignore(self, tmp_path, seq_dataset, capsys, flag):
+        bundle, other = tmp_path / "model.uosm", tmp_path / "other"
+        data = ["classify", "--data", str(seq_dataset)]
+        assert run_cli(capsys, *data, "--classifier", "knn", "--save-model", str(bundle))[0] == 0
+        value = {"--classifier": ["knn"], "--open": []}.get(flag, [str(other)])
+        code, records, err = run_cli(capsys, *data, "--model", str(bundle), flag, *value)
+        assert code == 2
+        assert f"--model cannot be combined with {flag}" in err
+        assert records == []
+        assert not other.exists()
+
     @pytest.mark.parametrize("damage, message", [(None, "dimension"), (-1, "truncated")])
     def test_unusable_tree_exits_2(self, tmp_path, uos_dataset, capsys, damage, message):
         kv = dict(data=str(uos_dataset / "features.bin"), levels=2, method="sclrr")
@@ -338,6 +382,39 @@ class TestCliErrors:
         )
         assert code == 2
         assert "nu must be positive" in err
+        assert records == []
+
+    @pytest.mark.parametrize(
+        "target", ["labels", "boundaries", "csv", "csv-header", "missing-pred"]
+    )
+    def test_malformed_text_input_exits_2(
+        self, tmp_path, uos_dataset, seq_dataset, capsys, target
+    ):
+        classify = ["classify", "--data", str(seq_dataset), "--classifier", "knn"]
+        if target == "labels":
+            bad = seq_dataset / "train" / "labels.txt"
+            bad.write_text(bad.read_text().replace("0\n", "0.5\n", 1))
+            argv = classify
+        elif target == "boundaries":
+            bad = seq_dataset / "train" / "boundaries.txt"
+            bad.write_text(bad.read_text().replace("0 ", "0 x", 1))
+            argv = classify
+        elif target.startswith("csv"):
+            bad = tmp_path / "features.csv"
+            write_feature_csv(bad, np.eye(4))
+            lines = bad.read_bytes().splitlines(keepends=True)
+            if target == "csv":
+                lines[2] = b"1,two,0,0\n"
+            else:
+                lines.insert(0, b"\xff\xfe not UTF-8\n")
+            bad.write_bytes(b"".join(lines))
+            argv = ["cluster", "--clusters", "2", "--set", f"data={bad}", "--set", "format=csv"]
+        else:
+            bad = tmp_path / "missing.txt"
+            argv = ["eval", "--pred", str(bad), "--truth", str(uos_dataset / "labels.txt")]
+        code, records, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert str(bad) in err
         assert records == []
 
     def test_malformed_config(self, tmp_path, capsys):

@@ -1,12 +1,16 @@
-"""Truncated or bit-flipped binary files must fail as data errors, never crash.
+"""Truncated or bit-flipped input files must fail as data errors, never crash.
 
-A tiny pipeline writes a tree, a leaf file, a feature file and one bundle
-of each kind. Hypothesis then truncates one of them at a sampled offset or
-flips one byte. The loader may only raise UosError subclasses, and
-`classify` on the damaged file must exit 2 for a truncation and 0 or 2 for
-a flip (a flip can leave a well-formed file).
+A tiny pipeline writes a tree, a leaf file, a feature file, one bundle of
+each kind and a dataset's label and boundary text files. Hypothesis then
+truncates one of them at a sampled offset or flips one byte, and the
+damaged file is restored afterwards. The loader may only raise UosError
+subclasses. `classify` on a damaged binary file must exit 2 for a
+truncation and 0 or 2 for a flip (a flip can leave a well-formed file); on
+a damaged text file it must exit 0 or 2 either way (a truncation that drops
+only the final newline leaves a valid file).
 """
 
+import contextlib
 import shutil
 
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 
 from uoslearn.bundles import load_model_bundle
 from uoslearn.cli import cli_main
-from uoslearn.datasets import load_leaves, read_feature_bin
+from uoslearn.datasets import load_boundaries, load_labels, load_leaves, read_feature_bin
 from uoslearn.errors import UosError
 from uoslearn.hierarchy import read_tree
 
@@ -26,6 +30,7 @@ BUNDLES = {
     "svm_ova": ["--classifier", "svm-ova"],
     "svm_ova_open": ["--classifier", "svm-ova", "--open"],
 }
+TEXT = ("labels", "boundaries")
 
 
 def run(*argv):
@@ -64,19 +69,21 @@ def pipeline(tmp_path_factory):
         name: (path.read_bytes(), loader, damaged / path.name, [*argv, str(damaged / path.name)])
         for name, (path, loader, argv) in targets.items()
     }
-    features = damaged / "test" / "features.bin"
-    out["features"] = (
-        features.read_bytes(),
-        read_feature_bin,
-        features,
-        ["classify", "--data", str(damaged), "--classifier", "knn", "--set", "k=1"],
-    )
+    knn = ["classify", "--data", str(damaged), "--classifier", "knn", "--set", "k=1"]
+    n_frames = read_feature_bin(damaged / "train" / "features.bin").shape[1]
+    for name, path, loader in (
+        ("features", damaged / "test" / "features.bin", read_feature_bin),
+        ("labels", damaged / "train" / "labels.txt", load_labels),
+        ("boundaries", damaged / "train" / "boundaries.txt",
+         lambda p: load_boundaries(p, n_frames)),
+    ):
+        out[name] = (path.read_bytes(), loader, path, knn)
     return out
 
 
 @pytest.mark.filterwarnings("ignore")
-@pytest.mark.parametrize("name", ["tree", "leaves", "features", *BUNDLES])
-@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("name", ["tree", "leaves", "features", *BUNDLES, *TEXT])
+@settings(max_examples=40, deadline=None, print_blob=True)
 @given(data=st.data())
 def test_damaged_file_is_a_data_error(pipeline, name, data):
     raw, loader, path, argv = pipeline[name]
@@ -88,8 +95,9 @@ def test_damaged_file_is_a_data_error(pipeline, name, data):
         mask = data.draw(st.integers(1, 255), label="mask")
         path.write_bytes(raw[:offset] + bytes([raw[offset] ^ mask]) + raw[offset + 1 :])
     try:
-        loader(path)
-    except UosError:
-        pass
-    code = cli_main(argv)
-    assert code == 2 if truncate else code in (0, 2)
+        with contextlib.suppress(UosError):
+            loader(path)
+        code = cli_main(argv)
+    finally:
+        path.write_bytes(raw)
+    assert code == 2 if truncate and name not in TEXT else code in (0, 2)

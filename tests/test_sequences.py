@@ -17,7 +17,6 @@ from uoslearn.sequences import (
     dtw_grassmann,
     gaussian_dtw_kernel,
     knn_classify,
-    leaf_distance_table,
     median_bandwidth,
     open_set_knn,
     sequence_distance,
@@ -201,18 +200,18 @@ class TestDtwGrassmann:
 
     def test_single_frame_pair(self, rng):
         leaves = random_leaves(rng)
-        table = leaf_distance_table(leaves)
+        table = leaves.distances
         assert dtw_grassmann([0], [2], leaves) == pytest.approx(table[0, 2])
 
     def test_matches_brute_force_sampled(self, rng):
         leaves = random_leaves(rng)
-        table = leaf_distance_table(leaves)
+        table = leaves.distances
         for _ in range(60):
             la, lb = rng.integers(1, 6), rng.integers(1, 6)
             pa = rng.integers(0, 3, size=la)
             pb = rng.integers(0, 3, size=lb)
             expected = brute_force_dtw(pa, pb, table)
-            assert dtw_grassmann(pa, pb, leaves, table) == pytest.approx(
+            assert dtw_grassmann(pa, pb, leaves) == pytest.approx(
                 expected, abs=1e-12
             )
 
@@ -265,16 +264,21 @@ class TestAlignFeaturesDtw:
 
 class TestDtwEngineMatchesReference:
     def test_assignment_dtw_exact(self, rng):
-        leaves = random_leaves(rng, m=12, dims=(2, 2, 2, 2))
+        # Leaves spanned by one or two of four coordinate axes lie exactly 0,
+        # sqrt(1/2) or 1 apart, so the tables are full of ties.
+        axes = np.eye(4)
         for trial in range(300):
             if trial % 2:
-                table = rng.integers(0, 3, size=(4, 4)).astype(float)  # full of ties
+                leaves = LeafSet(
+                    [axes[:, rng.choice(4, rng.integers(1, 3), replace=False)] for _ in range(4)]
+                )
             else:
-                table = rng.random((4, 4))
+                leaves = LeafSet([random_orthonormal(12, 2, rng) for _ in range(4)])
+            table = leaves.distances
             pa = rng.integers(0, 4, size=rng.integers(1, 13))
             pb = rng.integers(0, 4, size=rng.integers(1, 13))
             expected = reference_dtw_cost(table[np.ix_(pa, pb)])
-            assert dtw_grassmann(pa, pb, leaves, table) == expected
+            assert dtw_grassmann(pa, pb, leaves) == expected
 
     def test_feature_alignment_exact(self, rng):
         # Frames drawn from a few signed axes give costs in {0, sqrt(2), 2},
@@ -325,7 +329,7 @@ class TestSequenceDistance:
 
     def test_hand_computed_three_frames(self, rng):
         leaves = random_leaves(rng)
-        table = leaf_distance_table(leaves)
+        table = leaves.distances
         e = np.eye(10)
         # distinct frames force the diagonal alignment path
         s1 = SequenceSample(features=e[:, [0, 1, 2]])
