@@ -46,8 +46,8 @@ class HierarchyConfig:
             raise ConfigError("max_level must be >= 1")
         if not 0 < self.gamma <= 1:
             raise ConfigError("gamma must be in (0, 1]")
-        if self.split_gain < 0:
-            raise ConfigError("split_gain must be nonnegative")
+        if not 0 <= self.split_gain < np.inf:
+            raise ConfigError("split_gain must be nonnegative and finite")
         if self.min_dim < 1:
             raise ConfigError("min_dim must be >= 1")
 

@@ -134,15 +134,19 @@ def _dtw_accumulate(costs: np.ndarray) -> list[list[float]]:
     acc[a + 1][b + 1] = costs[a, b] + min(acc[a][b + 1], acc[a + 1][b], acc[a][b]),
     over a border of inf with acc[0][0] = 0; acc[n][m] is the DTW distance.
     """
-    n, m = costs.shape
     inf = float("inf")
-    acc = [[inf] * (m + 1) for _ in range(n + 1)]
-    acc[0][0] = 0.0
-    for a in range(n):
-        row = costs[a].tolist()
-        prev, cur = acc[a], acc[a + 1]
-        for b in range(m):
-            cur[b + 1] = row[b] + min(prev[b + 1], cur[b], prev[b])
+    prev = [0.0] + [inf] * costs.shape[1]
+    acc = [prev]
+    for row in costs.tolist():
+        # Comparisons pick the same value as min(): costs are never nan.
+        left = inf
+        cur = [inf]
+        for cost, diag, up in zip(row, prev, prev[1:]):
+            best = up if up < diag else diag
+            left = cost + (best if best < left else left)
+            cur.append(left)
+        acc.append(cur)
+        prev = cur
     return acc
 
 
@@ -190,16 +194,20 @@ def align_features_dtw(sample_a: SequenceSample, sample_b: SequenceSample) -> np
     acc = _dtw_accumulate(cdist(sample_a.features.T, sample_b.features.T))
     a, b = sample_a.length - 1, sample_b.length - 1
     path = [(a, b)]
-    while (a, b) != (0, 0):
+    while a or b:
         # Preference on cost ties: diagonal, then shrink a, then shrink b.
-        moves = []
-        if a > 0 and b > 0:
-            moves.append((acc[a][b], a - 1, b - 1))
-        if a > 0:
-            moves.append((acc[a][b + 1], a - 1, b))
-        if b > 0:
-            moves.append((acc[a + 1][b], a, b - 1))
-        _, a, b = min(moves, key=lambda t: t[0])
+        if a and b:
+            diag, up, left = acc[a][b], acc[a][b + 1], acc[a + 1][b]
+            if diag <= up and diag <= left:
+                a, b = a - 1, b - 1
+            elif up <= left:
+                a -= 1
+            else:
+                b -= 1
+        elif a:
+            a -= 1
+        else:
+            b -= 1
         path.append((a, b))
     path.reverse()
     return _trim_pinned(np.asarray(path, dtype=int))

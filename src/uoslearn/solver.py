@@ -111,6 +111,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.l_max < 1:
             raise ConfigError("l_max must be >= 1")
+        numbers = (
+            self.alpha, self.beta, self.lam, self.rho, self.mu0, self.mu_max,
+            self.epsilon, self.eta_factor, self.coeff_threshold,
+        )
+        if not np.isfinite(numbers).all():
+            raise ConfigError("solver parameters must be finite")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("alpha and beta must be nonnegative")
         if self.lam <= 0:

@@ -8,7 +8,7 @@ curvature fall back to evaluating the objective at the two box endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,6 +146,14 @@ class _Smo:
         return 0
 
 
+def _check_c_tol(c: float, tol: float) -> None:
+    # nan or inf c trains a useless model; tol <= 0 spins through the pass budget.
+    if not 0 < c < np.inf:
+        raise ConfigError("c must be positive and finite")
+    if not 0 < tol < np.inf:
+        raise ConfigError("tol must be positive and finite")
+
+
 def svm_train_binary(
     k, y, c: float = 10.0, tol: float = 1e-3, max_passes: int | None = None
 ) -> BinarySvmModel:
@@ -165,8 +173,7 @@ def svm_train_binary(
         raise ConfigError("labels must be +/-1")
     if np.all(y == y[0]):
         raise ConfigError("training requires both classes")
-    if c <= 0:
-        raise ConfigError("c must be positive")
+    _check_c_tol(c, tol)
     n = len(y)
     if max_passes is None:
         max_passes = 10 * n
@@ -192,7 +199,13 @@ def svm_train_binary(
 
 @dataclass
 class MulticlassSvmModel:
-    """One-vs-one or one-vs-all ensemble over warping-kernel sequences."""
+    """One-vs-one or one-vs-all ensemble over warping-kernel sequences.
+
+    `support` holds the training rows with a nonzero dual weight in some
+    binary model, in ascending order, computed once here: prediction warps
+    a test sequence against these rows only, so a model whose dual weights
+    change must be built anew.
+    """
 
     mode: str  # "one_vs_one" | "one_vs_all"
     classes: list[int]
@@ -203,10 +216,23 @@ class MulticlassSvmModel:
     # one_vs_one: keys (ci, cj) with ci < cj, values (model, train subset indices)
     # one_vs_all: keys ci, values (model, all indices)
     models: dict
+    support: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = [idx[model.alpha != 0] for model, idx in self.models.values()]
+        self.support = np.unique(np.concatenate([np.empty(0, int), *rows]))
 
     def decision_scores(self, psi, leaves: LeafSet) -> dict:
-        d = dtw_distance_matrix(self.train_assignments, [np.asarray(psi, int)], leaves)
-        kcol = gaussian_kernel(d[:, 0], self.nu)
+        # A row outside `support` has alpha = +/-0 in every model, so its
+        # term (alpha * y) * k is the same signed zero for k = 0 as for
+        # any kernel value k >= 0: its entry stays 0 and is never warped.
+        kcol = np.zeros(len(self.train_assignments))
+        d = dtw_distance_matrix(
+            [self.train_assignments[i] for i in self.support],
+            [np.asarray(psi, int)],
+            leaves,
+        )
+        kcol[self.support] = gaussian_kernel(d[:, 0], self.nu)
         return {
             key: float(model.decision(kcol[idx][:, None])[0])
             for key, (model, idx) in self.models.items()
@@ -233,6 +259,7 @@ def svm_train_multiclass(
     """
     if mode not in (MODE_ONE_VS_ONE, MODE_ONE_VS_ALL):
         raise ConfigError(f"unknown mode {mode!r}")
+    _check_c_tol(c, tol)  # before the kernel, whose warps dominate training
     labels = np.asarray(labels, dtype=int)
     if len(labels) != len(train_assignments):
         raise DimensionError("labels must match the number of sequences")

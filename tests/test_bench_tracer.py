@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from uoslearn.sequences import assign_to_leaves, open_set_knn
-from uoslearn.svm import svm_train_multiclass
+from uoslearn.svm import svm_predict_multiclass, svm_train_multiclass
 from uoslearn.synth import SequenceSynthConfig, generate_synthetic_sequences
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -60,3 +60,25 @@ def test_dtw_spans_are_counted_per_pair(tracer):
     assert spans["sequences.feature_dtw"] == len(train) + sum(
         n * (n - 1) // 2 for n in sizes
     )
+
+
+def test_svm_prediction_warps_only_support_rows(tracer):
+    # One assign_dtw span per training row with a nonzero dual weight in
+    # some binary model: the other rows add nothing to a decision value.
+    cfg = SequenceSynthConfig(
+        m=12, leaves=3, leaf_dim=2, classes=3, sequences_per_class=6, seed=2
+    )
+    samples, leaves = generate_synthetic_sequences(cfg)
+    train, probe = samples[1:], samples[0]
+    psis = [assign_to_leaves(s, leaves) for s in train]
+    model = svm_train_multiclass(psis, [s.label for s in train], leaves)
+    support = set()
+    for binary, idx in model.models.values():
+        support.update(idx[binary.alpha != 0].tolist())
+    run = tracer.Tracer()
+    with run.installed():
+        svm_predict_multiclass(model, assign_to_leaves(probe, leaves), leaves)
+    spans = Counter(s.name for s in run.spans)
+    assert 0 < len(support) < len(train)
+    assert spans["svm.kernel"] == 1
+    assert spans["sequences.assign_dtw"] == len(support)

@@ -282,3 +282,10 @@ class TestTreeSerialization:
         p.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(DataError):
             read_tree(p)
+
+
+class TestHierarchyConfig:
+    @pytest.mark.parametrize("split_gain", [np.nan, np.inf])
+    def test_non_finite_split_gain_rejected(self, split_gain):
+        with pytest.raises(ConfigError):
+            HierarchyConfig(max_level=2, split_gain=split_gain)

@@ -298,6 +298,25 @@ class TestDtwEngineMatchesReference:
                 align_features_dtw(a, b), reference_align_features_dtw(a, b)
             )
 
+    @pytest.mark.parametrize("la, lb", [(1, 1), (1, 9), (9, 1)])
+    def test_length_one_exact(self, rng, la, lb):
+        axes = np.eye(4)
+        signed_axes = np.hstack([axes, -axes])
+        for trial in range(40):
+            leaves = LeafSet(
+                [axes[:, rng.choice(4, rng.integers(1, 3), replace=False)] for _ in range(4)]
+            )
+            pa = rng.integers(0, 4, size=la)
+            pb = rng.integers(0, 4, size=lb)
+            expected = reference_dtw_cost(leaves.distances[np.ix_(pa, pb)])
+            assert dtw_grassmann(pa, pb, leaves) == expected
+            alphabet = signed_axes if trial % 2 else unit_columns(rng.standard_normal((4, 3)))
+            a = SequenceSample(features=alphabet[:, rng.integers(0, alphabet.shape[1], size=la)])
+            b = SequenceSample(features=alphabet[:, rng.integers(0, alphabet.shape[1], size=lb)])
+            assert np.array_equal(
+                align_features_dtw(a, b), reference_align_features_dtw(a, b)
+            )
+
     def test_constant_cost_backtracks_diagonal_first(self):
         # Identical frames make every cost 0, so every interior move ties.
         long = SequenceSample(features=np.repeat(np.eye(3)[:, :1], 5, axis=1))

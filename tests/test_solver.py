@@ -398,3 +398,16 @@ class TestFeatureMatrixValidation:
         assert np.all(theta >= 0)
         assert np.all(np.diag(theta) == 0)
         assert np.allclose(theta, theta.T)
+
+
+class TestSolverConfig:
+    NAN_FIELDS = ("alpha", "beta", "lam", "rho", "mu0", "mu_max", "epsilon", "eta_factor")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(name, np.nan) for name in NAN_FIELDS]
+        + [("rho", np.inf), ("lam", np.inf), ("mu_max", np.inf)],
+    )
+    def test_non_finite_number_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            small_config(**{name: value})

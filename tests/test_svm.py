@@ -2,11 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import random_orthonormal
+from uoslearn.bundles import load_model_bundle, save_model_bundle
+from uoslearn import sequences
 from uoslearn.errors import ConfigError
-from uoslearn.sequences import LeafSet, assign_to_leaves, gaussian_dtw_kernel
+from uoslearn.sequences import (
+    LeafSet,
+    assign_to_leaves,
+    dtw_distance_matrix,
+    gaussian_dtw_kernel,
+    gaussian_kernel,
+)
 from uoslearn.svm import (
     MODE_ONE_VS_ALL,
     MODE_ONE_VS_ONE,
+    BinarySvmModel,
+    MulticlassSvmModel,
     open_set_svm,
     svm_predict_multiclass,
     svm_train_binary,
@@ -114,6 +124,16 @@ class TestBinarySvm:
         assert not short.converged
         assert np.array_equal(short.alpha, done.alpha) and short.bias == done.bias
 
+    @pytest.mark.parametrize(
+        "c, tol",
+        [(np.nan, 1e-3), (np.inf, 1e-3), (0.0, 1e-3)]
+        + [(10.0, tol) for tol in (-1.0, 0.0, np.nan, np.inf)],
+    )
+    def test_c_and_tol_must_be_positive_and_finite(self, c, tol):
+        k = rbf_kernel(np.array([[0.0], [1.0], [3.0], [4.0]]))
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            svm_train_binary(k, [1, 1, -1, -1], c=c, tol=tol)
+
     def test_deterministic(self, rng):
         pts = rng.standard_normal((16, 2))
         y = np.sign(pts[:, 1])
@@ -177,10 +197,65 @@ class TestMulticlassSvm:
                 ovo, s.assignment, leaves
             ) == svm_predict_multiclass(ova, s.assignment, leaves)
 
+    def test_bad_c_rejected_before_any_warp(self, monkeypatch):
+        train, _, leaves = sequence_classification_setup()
+        monkeypatch.setattr(sequences, "dtw_grassmann", None)  # any warp would raise TypeError
+        with pytest.raises(ConfigError, match="c must be positive and finite"):
+            svm_train_multiclass(
+                [s.assignment for s in train], [s.label for s in train], leaves, c=-1.0
+            )
+
     def test_needs_two_classes(self, rng):
         leaves = LeafSet([random_orthonormal(6, 2, rng)])
         with pytest.raises(ConfigError):
             svm_train_multiclass([np.array([0])], [1], leaves)
+
+
+def full_column_scores(model, psi, leaves):
+    """Decision values from the kernel column over every training row."""
+    d = dtw_distance_matrix(model.train_assignments, [np.asarray(psi, int)], leaves)
+    kcol = gaussian_kernel(d[:, 0], model.nu)
+    return {
+        key: float(binary.decision(kcol[idx][:, None])[0])
+        for key, (binary, idx) in model.models.items()
+    }
+
+
+class TestDecisionScoresExact:
+    """Warping only against support rows leaves every decision value bit-identical."""
+
+    @pytest.mark.parametrize("mode", [MODE_ONE_VS_ONE, MODE_ONE_VS_ALL])
+    def test_matches_full_column(self, mode, tmp_path):
+        train, test, leaves = sequence_classification_setup(seed=5, classes=4)
+        model = svm_train_multiclass(
+            [s.assignment for s in train], [s.label for s in train], leaves, mode=mode
+        )
+        path = tmp_path / "svm.uosm"
+        save_model_bundle(path, leaves, model, open_set=mode == MODE_ONE_VS_ALL)
+        loaded_leaves, loaded, _ = load_model_bundle(path)
+        for m, lv in ((model, leaves), (loaded, loaded_leaves)):
+            assert 0 < len(m.support) < len(m.train_assignments)
+            for s in test + train[:4]:
+                assert m.decision_scores(s.assignment, lv) == full_column_scores(
+                    m, s.assignment, lv
+                )
+
+    def test_all_zero_alpha(self):
+        train, test, leaves = sequence_classification_setup(seed=5)
+        labels = np.array([s.label for s in train])
+        idx = np.arange(len(train))
+        models = {
+            ci: (BinarySvmModel(np.zeros(len(train)), np.where(labels == ci, 1.0, -1.0), b), idx)
+            for ci, b in ((0, -0.25), (1, 0.5), (2, 0.0))
+        }
+        model = MulticlassSvmModel(
+            MODE_ONE_VS_ALL, [0, 1, 2], [s.assignment for s in train], labels, 0.5, 10.0, models
+        )
+        assert len(model.support) == 0
+        for s in test:
+            scores = model.decision_scores(s.assignment, leaves)
+            assert scores == full_column_scores(model, s.assignment, leaves)
+            assert scores == {0: -0.25, 1: 0.5, 2: 0.0}
 
 
 class TestOpenSetSvm:
