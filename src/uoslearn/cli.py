@@ -113,6 +113,14 @@ def cfg_bool(cfg, key, default=False) -> bool:
     raise ConfigError(f"config key {key} must be a boolean, got {raw!r}")
 
 
+def seed_from(args, cfg) -> int:
+    """The --seed flag, else the config's seed, else 0; numpy seeds are nonnegative."""
+    seed = args.seed if args.seed is not None else cfg_int(cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _resolve(base: Path, value: str) -> Path:
     p = Path(value)
     return p if p.is_absolute() else base / p
@@ -168,7 +176,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out) if args.out else _resolve(base, need(cfg, "out"))
     out.mkdir(parents=True, exist_ok=True)
     kind = need(cfg, "kind")
-    seed = args.seed if args.seed is not None else cfg_int(cfg, "seed", 0)
+    seed = seed_from(args, cfg)
     if kind == "uos":
         ucfg = UosSynthConfig(
             m=cfg_int(cfg, "m"),
@@ -240,7 +248,7 @@ def cmd_cluster(args) -> int:
     if args.beta is not None:
         cfg["beta"] = str(args.beta)
     k = args.clusters if args.clusters is not None else cfg_int(cfg, "clusters")
-    seed = args.seed if args.seed is not None else cfg_int(cfg, "seed", 0)
+    seed = seed_from(args, cfg)
     scfg = solver_config_from(cfg, method, l_max=k)
     result = cslrr_solve(fm, scfg, log_stream=sys.stderr if args.verbose else None)
     if not result.converged:
@@ -279,7 +287,7 @@ def cmd_hierarchy(args) -> int:
     cfg, base = load_config(args)
     manifest = manifest_from_config(cfg, base)
     fm = datasets.load_feature_matrix(manifest)
-    seed = args.seed if args.seed is not None else cfg_int(cfg, "seed", 0)
+    seed = seed_from(args, cfg)
     levels = cfg_int(cfg, "levels")
     scfg = solver_config_from(cfg, cfg.get("method", "cslrr"), l_max=2**levels)
     hcfg = HierarchyConfig(

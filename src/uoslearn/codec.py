@@ -5,7 +5,8 @@ it are little-endian `struct` fields, typed arrays, index arrays (u32
 count, then u32 entries) and counted float64 matrices (u32 count, then
 per matrix u32 rows, u32 cols and the row-major data). The reader checks
 every field against the bytes that remain, every index against its bound,
-and that nothing follows the last field; each failure is a DataError.
+and that nothing follows the last field; each failure, an unreadable
+file included, is a DataError.
 """
 
 from __future__ import annotations
@@ -52,7 +53,10 @@ class Reader:
 
     def __init__(self, path, magic: bytes, version: int, what: str):
         self.source = path
-        self._raw = Path(path).read_bytes()
+        try:
+            self._raw = Path(path).read_bytes()
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read {what}: {exc}") from exc
         if self._raw[:4] != magic:
             raise DataError(f"{path}: not a {what} (bad magic)")
         self._pos = 4

@@ -343,12 +343,17 @@ def dtw_distance_matrix(
     )
 
 
-def gaussian_kernel(distances, nu: float) -> np.ndarray:
-    """Entrywise Gaussian kernel exp(-d^2/nu^2) of warping distances."""
+def check_bandwidth(nu: float) -> np.float64:
+    """Return nu^2 for a usable Gaussian bandwidth nu; ConfigError otherwise."""
     nu_sq = np.float64(nu) ** 2  # a huge nu saturates instead of raising OverflowError
     if not (nu > 0 and nu_sq > 0):  # also rejects nan and a square that underflows
         raise ConfigError("nu must be positive, with a nonzero square")
-    return np.exp(-(distances**2) / nu_sq)
+    return nu_sq
+
+
+def gaussian_kernel(distances, nu: float) -> np.ndarray:
+    """Entrywise Gaussian kernel exp(-d^2/nu^2) of warping distances."""
+    return np.exp(-(distances**2) / check_bandwidth(nu))
 
 
 def gaussian_dtw_kernel(

@@ -15,9 +15,9 @@ step), Q (entrywise shrinkage), F (smallest eigenvectors of the current
 graph Laplacian) and E (group shrinkage), followed by multiplier ascent
 and a geometric penalty increase.
 
-Degenerations: beta = 0 drops the clustering coupling (the F update
-becomes inert), and alpha = beta = 0 reduces the program to plain
-low-rank representation.
+Degenerations: beta = 0 drops the clustering coupling (the F update is
+skipped), and alpha = beta = 0 reduces the program to plain low-rank
+representation.
 """
 
 from __future__ import annotations
@@ -146,7 +146,6 @@ class SolverState:
     e: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    f: np.ndarray | None
     theta: np.ndarray
     v: np.ndarray
     mu: float
@@ -159,7 +158,6 @@ class SolverState:
 class SolveResult:
     z: np.ndarray
     e: np.ndarray
-    f: np.ndarray
     residual_history: np.ndarray  # shape (iterations, 2): inf-norm residuals
     converged: bool
     iterations: int
@@ -197,7 +195,6 @@ def init_state(x: FeatureMatrix, config: SolverConfig) -> SolverState:
         e=np.zeros_like(x.data),
         g1=np.zeros_like(x.data),
         g2=zeros(),
-        f=None,
         theta=zeros(),
         v=np.zeros(n),
         mu=config.mu0,
@@ -220,10 +217,14 @@ def update_q(
     """Entrywise shrinkage of Z + G2/mu with per-entry thresholds.
 
     The threshold matrix is (alpha*B + beta*Theta)/mu, which stays well
-    defined at alpha = 0. Returns the new Q together with the refreshed
+    defined at alpha = 0; a threshold that overflows is a NumericalError
+    naming the iteration. Returns the new Q together with the refreshed
     degree vector v_i = sum_j (|q_ij| + |q_ji|)/2.
     """
-    thresholds = (config.alpha * weights + config.beta * state.theta) / state.mu
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        thresholds = (config.alpha * weights + config.beta * state.theta) / state.mu
+    if not np.all(np.isfinite(thresholds)):
+        raise NumericalError(f"non-finite Q thresholds at iteration {state.t}")
     q = elementwise_shrink(state.z + state.g2 / state.mu, thresholds, 1.0)
     absq = np.abs(q)
     v = (absq.sum(axis=1) + absq.sum(axis=0)) / 2.0
@@ -280,9 +281,11 @@ def cslrr_solve(
     G1 += mu(X - XZ - E), G2 += mu(Z - Q), and mu <- min(mu_max, rho*mu),
     stopping when ||X - XZ - E||_inf <= eps and ||Z - Q||_inf <= eps or
     after max_iters iterations (in which case the result is flagged
-    non-converged). `callback` is invoked with the state after each
-    completed iteration; `log_stream` receives one residual line per
-    iteration.
+    non-converged). The F update runs only when beta > 0: at beta = 0,
+    Theta keeps its zero start and beta*Theta is the same +0 an update
+    would leave, so skipping it changes no iterate. `callback` is invoked
+    with the state after each completed iteration; `log_stream` receives
+    one residual line per iteration.
     """
     if x.n_samples < config.l_max:
         raise DimensionError(
@@ -301,7 +304,8 @@ def cslrr_solve(
     for _ in range(config.max_iters):
         state.z = update_z(state, x, config)
         state.q, state.v = update_q(state, weights, config)
-        state.f, state.theta = update_f(state, config)
+        if config.beta > 0:
+            _, state.theta = update_f(state, config)
         state.e = update_e(state, x, config)
 
         r1_mat = x.data - x.data @ state.z - state.e
@@ -331,7 +335,6 @@ def cslrr_solve(
     return SolveResult(
         z=state.z,
         e=state.e,
-        f=state.f,
         residual_history=history,
         converged=converged,
         iterations=state.t,

@@ -14,7 +14,13 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .linalg import as_matrix
-from .sequences import LeafSet, dtw_distance_matrix, gaussian_kernel, median_bandwidth
+from .sequences import (
+    LeafSet,
+    check_bandwidth,
+    dtw_distance_matrix,
+    gaussian_kernel,
+    median_bandwidth,
+)
 
 _STEP_EPS = 1e-5
 _BOUND_EPS = 1e-8
@@ -260,6 +266,8 @@ def svm_train_multiclass(
     if mode not in (MODE_ONE_VS_ONE, MODE_ONE_VS_ALL):
         raise ConfigError(f"unknown mode {mode!r}")
     _check_c_tol(c, tol)  # before the kernel, whose warps dominate training
+    if nu is not None:
+        check_bandwidth(nu)
     labels = np.asarray(labels, dtype=int)
     if len(labels) != len(train_assignments):
         raise DimensionError("labels must match the number of sequences")

@@ -10,9 +10,12 @@ from collections import Counter
 from importlib import import_module
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import unit_columns
 from uoslearn.sequences import assign_to_leaves, open_set_knn
+from uoslearn.solver import FeatureMatrix, SolverConfig, cslrr_solve
 from uoslearn.svm import svm_predict_multiclass, svm_train_multiclass
 from uoslearn.synth import SequenceSynthConfig, generate_synthetic_sequences
 
@@ -82,3 +85,17 @@ def test_svm_prediction_warps_only_support_rows(tracer):
     assert 0 < len(support) < len(train)
     assert spans["svm.kernel"] == 1
     assert spans["sequences.assign_dtw"] == len(support)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_embedding_spans_open_only_when_beta_positive(tracer, beta):
+    # At beta = 0 the solver skips the F step, so its spans read 0.
+    x = FeatureMatrix(unit_columns(np.random.default_rng(3).standard_normal((6, 10))))
+    cfg = SolverConfig(l_max=3, alpha=1.0, beta=beta, lam=1.0, max_iters=15)
+    run = tracer.Tracer()
+    with run.installed():
+        result = cslrr_solve(x, cfg)
+    spans = Counter(s.name for s in run.spans)
+    expected = result.iterations if beta > 0 else 0
+    assert spans["solver.z_step"] == result.iterations > 0
+    assert spans["solver.f_step"] == spans["solver.eig"] == expected

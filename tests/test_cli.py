@@ -417,6 +417,46 @@ class TestCliErrors:
         assert str(bad) in err
         assert records == []
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["synth", "cluster", "hierarchy"])
+    def test_negative_seed_exits_2(self, tmp_path, uos_dataset, capsys, command, via):
+        argv = {
+            "synth": ["synth", "--set", "kind=uos", "--out", str(tmp_path / "o")],
+            "cluster": ["cluster", "--clusters", "3"],
+            "hierarchy": ["hierarchy", "--set", "levels=2"],
+        }[command]
+        if command != "synth":
+            argv += ["--set", f"data={uos_dataset / 'features.bin'}"]
+        argv += ["--seed", "-1"] if via == "flag" else ["--set", "seed=-1"]
+        code, records, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "seed must be nonnegative, got -1" in err
+        assert records == []
+
+    def test_directory_as_binary_input_exits_2(self, tmp_path, seq_dataset, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        for argv in (
+            ["cluster", "--clusters", "3", "--set", f"data={folder}"],
+            ["classify", "--data", str(seq_dataset), "--model", str(folder)],
+        ):
+            code, records, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert f"{folder}: cannot read" in err
+            assert records == []
+
+    @pytest.mark.parametrize(
+        "overrides", [["alpha=1e308"], ["method=cslrr", "beta=1e308"]]
+    )
+    def test_overflowing_thresholds_exit_3(self, uos_dataset, capsys, overrides):
+        argv = ["cluster", "--clusters", "3", "--set", f"data={uos_dataset / 'features.bin'}"]
+        for item in overrides:
+            argv += ["--set", item]
+        code, records, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "non-finite Q thresholds at iteration" in err
+        assert records == []
+
     def test_malformed_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("this is not a key value line\n")

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthonormal, unit_columns
-from uoslearn.errors import ConfigError, DataError, DimensionError
+from uoslearn import solver
+from uoslearn.errors import ConfigError, DataError, DimensionError, NumericalError
 from uoslearn.metrics import clustering_accuracy
 from uoslearn.solver import (
     FeatureMatrix,
+    SolveResult,
     SolverConfig,
     build_affinity,
     build_weight_matrix,
@@ -74,6 +76,52 @@ def reference_lrr_iterates(x, lam, n_iters, weights=None, alpha=0.0):
         mu = min(mu_max, rho * mu)
         iterates.append((z.copy(), q.copy(), e.copy()))
     return iterates
+
+
+def reference_solve(x, config, callback=None):
+    """The solver loop before the beta = 0 skip: the F update runs every iteration."""
+    weights = (
+        build_weight_matrix(x)
+        if config.alpha > 0
+        else np.zeros((x.n_samples, x.n_samples))
+    )
+    state = init_state(x, config)
+    converged = False
+    for _ in range(config.max_iters):
+        state.z = update_z(state, x, config)
+        state.q, state.v = update_q(state, weights, config)
+        _, state.theta = update_f(state, config)
+        state.e = update_e(state, x, config)
+
+        r1_mat = x.data - x.data @ state.z - state.e
+        r2_mat = state.z - state.q
+        state.g1 = state.g1 + state.mu * r1_mat
+        state.g2 = state.g2 + state.mu * r2_mat
+        state.mu = min(config.mu_max, config.rho * state.mu)
+        if not (
+            np.all(np.isfinite(state.z))
+            and np.all(np.isfinite(state.q))
+            and np.all(np.isfinite(state.e))
+        ):
+            raise NumericalError(f"non-finite iterate at iteration {state.t}")
+        r1 = float(np.abs(r1_mat).max())
+        r2 = float(np.abs(r2_mat).max())
+        state.residuals.append((r1, r2))
+        state.t += 1
+        if callback is not None:
+            callback(state)
+        if r1 <= config.epsilon and r2 <= config.epsilon:
+            converged = True
+            break
+
+    history = np.array(state.residuals) if state.residuals else np.zeros((0, 2))
+    return SolveResult(
+        z=state.z,
+        e=state.e,
+        residual_history=history,
+        converged=converged,
+        iterations=state.t,
+    )
 
 
 class TestBuildWeightMatrix:
@@ -345,6 +393,48 @@ class TestSolve:
         x = FeatureMatrix(unit_columns(rng.standard_normal((5, 4))))
         with pytest.raises(DimensionError):
             cslrr_solve(x, small_config(l_max=5))
+
+
+def _snapshot(trail):
+    return lambda st: trail.append(
+        (st.z.copy(), st.q.copy(), st.e.copy(), st.g1.copy(), st.g2.copy(), st.mu)
+    )
+
+
+class TestEmbeddingStepSkippedAtBetaZero:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_iterates_bit_identical_to_always_updating_f(self, alpha):
+        fm, _ = generate_synthetic_uos(
+            UosSynthConfig(m=20, subspaces=3, dim=2, points_per_subspace=12, seed=3)
+        )
+        cfg = SolverConfig(
+            l_max=3, alpha=alpha, beta=0.0, lam=1.0, max_iters=60, epsilon=1e-16
+        )
+        seen, expected = [], []
+        res = cslrr_solve(fm, cfg, callback=_snapshot(seen))
+        ref = reference_solve(fm, cfg, callback=_snapshot(expected))
+        assert res.iterations == ref.iterations == len(seen) == len(expected) == 60
+        for got, want in zip(seen, expected):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        assert np.array_equal(res.residual_history, ref.residual_history)
+        assert np.array_equal(res.z, ref.z) and np.array_equal(res.e, ref.e)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_update_f_runs_once_per_iteration_only_when_beta_positive(
+        self, rng, monkeypatch, beta
+    ):
+        calls = []
+        update = solver.update_f
+
+        def counted(state, config):
+            calls.append(state.t)
+            return update(state, config)
+
+        monkeypatch.setattr(solver, "update_f", counted)
+        x = FeatureMatrix(unit_columns(rng.standard_normal((6, 10))))
+        res = cslrr_solve(x, small_config(l_max=3, beta=beta, max_iters=20))
+        assert len(calls) == (res.iterations if beta > 0 else 0)
 
 
 class TestThresholdAndAffinity:

@@ -205,6 +205,17 @@ class TestMulticlassSvm:
                 [s.assignment for s in train], [s.label for s in train], leaves, c=-1.0
             )
 
+    @pytest.mark.parametrize("nu", [-1.0, 0.0, np.nan, 1e-200])
+    def test_bad_nu_rejected_before_any_warp(self, monkeypatch, nu):
+        train, _, leaves = sequence_classification_setup()
+        warps = []
+        monkeypatch.setattr(sequences, "dtw_grassmann", lambda *a: warps.append(a))
+        with pytest.raises(ConfigError, match="nu must be positive, with a nonzero square"):
+            svm_train_multiclass(
+                [s.assignment for s in train], [s.label for s in train], leaves, nu=nu
+            )
+        assert warps == []
+
     def test_needs_two_classes(self, rng):
         leaves = LeafSet([random_orthonormal(6, 2, rng)])
         with pytest.raises(ConfigError):
