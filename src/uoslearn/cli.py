@@ -39,6 +39,23 @@ from .synth import (
 METHODS = ("lrr", "sclrr", "cslrr")
 CLASSIFIERS = ("knn", "svm-ovo", "svm-ova")
 
+# The config keys each subcommand reads; any other key is a ConfigError.
+DATA_KEYS = ("data", "format", "labels", "boundaries", "block_rows", "block_bins")
+SOLVER_KEYS = (
+    "method", "alpha", "beta", "lambda", "rho", "mu0", "mu_max", "epsilon",
+    "eta_factor", "max_iters", "error_mode", "coeff_threshold",
+)
+SYNTH_KEYS = {
+    "uos": ("m", "subspaces", "dim", "points", "noise", "geometry"),
+    "sequences": (
+        "m", "leaves", "leaf_dim", "classes", "train_per_class", "test_per_class",
+        "template_len", "frames_min", "frames_max", "jitter",
+    ),
+}
+CLUSTER_KEYS = ("seed", "clusters", *DATA_KEYS, *SOLVER_KEYS)
+HIERARCHY_KEYS = ("seed", "levels", "gamma", "split_gain", "min_dim", *DATA_KEYS, *SOLVER_KEYS)
+CLASSIFY_KEYS = ("data", "classifier", "open", "k", "varsigma", "nu", "c")
+
 
 def emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
@@ -46,6 +63,13 @@ def emit(record: dict) -> None:
 
 def diag(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _key_value(item: str, where: str) -> tuple[str, str]:
+    key, value = item.split("=", 1)
+    if not key.strip():
+        raise ConfigError(f"empty config key in {where}: {item.strip()!r}")
+    return key.strip(), value.strip()
 
 
 def parse_config(path: Path) -> dict[str, str]:
@@ -60,8 +84,8 @@ def parse_config(path: Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"malformed config line: {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = _key_value(line, str(path))
+        cfg[key] = value
     return cfg
 
 
@@ -74,9 +98,19 @@ def load_config(args) -> tuple[dict[str, str], Path]:
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = _key_value(item, "--set")
+        cfg[key] = value
     return cfg, base
+
+
+def check_keys(cfg: dict[str, str], accepted, command: str) -> None:
+    """Reject config keys that `command` does not read, naming the accepted ones."""
+    unknown = sorted(set(cfg) - set(accepted))
+    if unknown:
+        raise ConfigError(
+            f"unknown config key(s) for {command}: {', '.join(map(repr, unknown))}; "
+            f"accepted keys: {', '.join(sorted(accepted)) or '(none)'}"
+        )
 
 
 def need(cfg: dict[str, str], key: str) -> str:
@@ -172,10 +206,13 @@ def _write_residual_csv(path, history) -> None:
 
 
 def cmd_synth(args) -> int:
+    """Validate the config and generate the data before creating `--out`."""
     cfg, base = load_config(args)
-    out = Path(args.out) if args.out else _resolve(base, need(cfg, "out"))
-    out.mkdir(parents=True, exist_ok=True)
     kind = need(cfg, "kind")
+    if kind not in SYNTH_KEYS:
+        raise ConfigError(f"unknown synth kind {kind!r}; expected one of {tuple(SYNTH_KEYS)}")
+    check_keys(cfg, ("kind", "out", "seed", *SYNTH_KEYS[kind]), f"synth kind={kind}")
+    out = Path(args.out) if args.out else _resolve(base, need(cfg, "out"))
     seed = seed_from(args, cfg)
     if kind == "uos":
         ucfg = UosSynthConfig(
@@ -188,6 +225,7 @@ def cmd_synth(args) -> int:
             seed=seed,
         )
         fm, labels = generate_synthetic_uos(ucfg)
+        out.mkdir(parents=True, exist_ok=True)
         datasets.write_feature_bin(out / "features.bin", fm.data)
         datasets.write_labels(out / "labels.txt", labels)
         emit(
@@ -202,44 +240,44 @@ def cmd_synth(args) -> int:
             }
         )
         return 0
-    if kind == "sequences":
-        train_pc = cfg_int(cfg, "train_per_class")
-        test_pc = cfg_int(cfg, "test_per_class")
-        scfg = SequenceSynthConfig(
-            m=cfg_int(cfg, "m"),
-            leaves=cfg_int(cfg, "leaves"),
-            leaf_dim=cfg_int(cfg, "leaf_dim"),
-            classes=cfg_int(cfg, "classes"),
-            sequences_per_class=train_pc + test_pc,
-            template_len=cfg_int(cfg, "template_len", 4),
-            frames_min=cfg_int(cfg, "frames_min", 2),
-            frames_max=cfg_int(cfg, "frames_max", 4),
-            jitter=cfg_float(cfg, "jitter", 0.0),
-            seed=seed,
-        )
-        samples, leaves = generate_synthetic_sequences(scfg)
-        train, test = split_by_class(samples, train_pc)
-        datasets.save_sequence_dataset(out / "train", train)
-        datasets.save_sequence_dataset(out / "test", test)
-        datasets.save_leaves(out / "leaves.bin", leaves)
-        emit(
-            {
-                "record": "synth",
-                "kind": "sequences",
-                "out": str(out),
-                "classes": scfg.classes,
-                "train_sequences": len(train),
-                "test_sequences": len(test),
-                "leaves": len(leaves),
-                "seed": seed,
-            }
-        )
-        return 0
-    raise ConfigError(f"unknown synth kind {kind!r}")
+    train_pc = cfg_int(cfg, "train_per_class")
+    test_pc = cfg_int(cfg, "test_per_class")
+    scfg = SequenceSynthConfig(
+        m=cfg_int(cfg, "m"),
+        leaves=cfg_int(cfg, "leaves"),
+        leaf_dim=cfg_int(cfg, "leaf_dim"),
+        classes=cfg_int(cfg, "classes"),
+        sequences_per_class=train_pc + test_pc,
+        template_len=cfg_int(cfg, "template_len", 4),
+        frames_min=cfg_int(cfg, "frames_min", 2),
+        frames_max=cfg_int(cfg, "frames_max", 4),
+        jitter=cfg_float(cfg, "jitter", 0.0),
+        seed=seed,
+    )
+    samples, leaves = generate_synthetic_sequences(scfg)
+    train, test = split_by_class(samples, train_pc)
+    out.mkdir(parents=True, exist_ok=True)
+    datasets.save_sequence_dataset(out / "train", train)
+    datasets.save_sequence_dataset(out / "test", test)
+    datasets.save_leaves(out / "leaves.bin", leaves)
+    emit(
+        {
+            "record": "synth",
+            "kind": "sequences",
+            "out": str(out),
+            "classes": scfg.classes,
+            "train_sequences": len(train),
+            "test_sequences": len(test),
+            "leaves": len(leaves),
+            "seed": seed,
+        }
+    )
+    return 0
 
 
 def cmd_cluster(args) -> int:
     cfg, base = load_config(args)
+    check_keys(cfg, CLUSTER_KEYS, "cluster")
     manifest = manifest_from_config(cfg, base)
     fm = datasets.load_feature_matrix(manifest)
     method = args.method or cfg.get("method", "cslrr")
@@ -285,10 +323,19 @@ def cmd_cluster(args) -> int:
 
 def cmd_hierarchy(args) -> int:
     cfg, base = load_config(args)
+    check_keys(cfg, HIERARCHY_KEYS, "hierarchy")
     manifest = manifest_from_config(cfg, base)
     fm = datasets.load_feature_matrix(manifest)
     seed = seed_from(args, cfg)
     levels = cfg_int(cfg, "levels")
+    if levels < 1:
+        raise ConfigError(f"levels must be >= 1, got {levels}")
+    # The solver embeds in 2**levels dimensions, so it needs 2**levels <= N.
+    if levels >= fm.n_samples.bit_length():
+        raise ConfigError(
+            f"levels={levels} is too deep for N={fm.n_samples} samples: "
+            f"2**levels must not exceed N, so levels <= {fm.n_samples.bit_length() - 1}"
+        )
     scfg = solver_config_from(cfg, cfg.get("method", "cslrr"), l_max=2**levels)
     hcfg = HierarchyConfig(
         max_level=levels,
@@ -346,6 +393,7 @@ def _load_leaves_for_classify(args, cfg, base) -> LeafSet:
 
 def cmd_classify(args) -> int:
     cfg, base = load_config(args)
+    check_keys(cfg, CLASSIFY_KEYS, "classify")
     data_dir = Path(args.data) if args.data else _resolve(base, need(cfg, "data"))
     test = datasets.load_sequence_dataset(data_dir / "test")
     if args.model:
@@ -439,6 +487,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    cfg, _ = load_config(args)
+    check_keys(cfg, (), "eval")
     pred = datasets.load_labels(args.pred)
     truth = datasets.load_labels(args.truth)
     emit(

@@ -7,6 +7,7 @@ NaN/Inf entries are rejected.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DataError, DimensionError
 
@@ -36,16 +37,28 @@ def svt(a, tau: float) -> np.ndarray:
 
     Returns the unique minimizer of  tau*||Z||_* + 0.5*||Z - a||_F^2,
     obtained by soft-thresholding the singular values of `a` by `tau`.
+    The singular pairs come from the eigendecomposition of the Gram matrix
+    a^T a (of the narrower side), which is about twice as fast as an SVD:
+    with sigma_j, v_j from a^T a, the result is sum over sigma_j > tau of
+    (1 - tau/sigma_j) (a v_j) v_j^T. The Gram matrix is formed from `a`
+    scaled by a power of two near 1/max|a|, which is exact, so entries
+    near 1e+-200 neither overflow nor underflow when squared.
     """
     a = as_matrix(a)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    keep = s > 0
+    if a.shape[1] > a.shape[0]:
+        return svt(a.T, tau).T
+    _, exp = np.frexp(np.abs(a).max())
+    scaled = np.ldexp(a, -exp)
+    tau_scaled = np.ldexp(tau, -exp)
+    lam, v = np.linalg.eigh(scaled.T @ scaled)
+    sigma = np.sqrt(np.maximum(lam, 0.0))
+    keep = sigma > tau_scaled
     if not np.any(keep):
         return np.zeros_like(a)
-    return (u[:, keep] * s[keep]) @ vt[keep]
+    v, sigma = v[:, keep], sigma[keep]
+    return ((a @ v) * ((sigma - tau_scaled) / sigma)) @ v.T
 
 
 def elementwise_shrink(a, h, tau: float) -> np.ndarray:
@@ -103,5 +116,6 @@ def sym_eig_smallest(m, k: int) -> np.ndarray:
     if np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
         raise ValueError("matrix is not symmetric")
     sym = (m + m.T) / 2.0
-    _, vecs = np.linalg.eigh(sym)  # ascending; robust for clustered spectra
-    return fix_eigvec_signs(vecs[:, :k])
+    # Only the k smallest eigenpairs are computed; ascending order.
+    _, vecs = scipy.linalg.eigh(sym, subset_by_index=[0, k - 1])
+    return fix_eigvec_signs(vecs)

@@ -463,3 +463,94 @@ class TestCliErrors:
         code, _, err = run_cli(capsys, "cluster", "--config", str(bad))
         assert code == 2
         assert "malformed" in err
+
+
+class TestConfigKeys:
+    """Each subcommand rejects a config key it does not read, and an empty key."""
+
+    def test_misspelled_key_via_set_exits_2(self, uos_dataset, capsys):
+        code, records, err = run_cli(
+            capsys, "cluster", "--clusters", "3",
+            "--set", f"data={uos_dataset / 'features.bin'}", "--set", "lamda=5",
+        )
+        assert code == 2
+        assert records == []
+        assert "unknown config key(s) for cluster: 'lamda'" in err
+        assert "lambda" in err.split("accepted keys:")[1]
+
+    def test_misspelled_key_in_config_file_exits_2(self, tmp_path, uos_dataset, capsys):
+        cfg = write_config(
+            tmp_path / "h.cfg", data=str(uos_dataset / "features.bin"), level=2
+        )
+        code, records, err = run_cli(capsys, "hierarchy", "--config", cfg)
+        assert code == 2
+        assert records == []
+        assert "unknown config key(s) for hierarchy: 'level'" in err
+        assert "levels" in err.split("accepted keys:")[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--set", "kind=uos", "--set", "leaves=3"],
+            ["classify", "--set", "levels=2"],
+            ["eval", "--pred", "p.txt", "--truth", "t.txt", "--set", "seed=1"],
+        ],
+        ids=["synth", "classify", "eval"],
+    )
+    def test_key_of_another_subcommand_exits_2(self, capsys, argv):
+        code, records, err = run_cli(capsys, *argv, "--seed", "0")
+        assert code == 2
+        assert records == []
+        assert "unknown config key(s)" in err
+
+    @pytest.mark.parametrize("via", ["set", "config"])
+    def test_empty_key_exits_2(self, tmp_path, uos_dataset, capsys, via):
+        argv = ["cluster", "--clusters", "3", "--set", f"data={uos_dataset / 'features.bin'}"]
+        if via == "set":
+            argv += ["--set", "=5"]
+        else:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("= 5\n")
+            argv += ["--config", str(cfg)]
+        code, records, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert records == []
+        assert "empty config key" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--set", "kind=nope"],
+            ["--set", "kind=uos", "--seed", "-1"],
+            ["--set", "kind=uos", "--set", "m=2", "--set", "subspaces=1",
+             "--set", "dim=3", "--set", "points=4"],
+        ],
+        ids=["kind", "seed", "generator"],
+    )
+    def test_rejected_synth_creates_no_out_dir(self, tmp_path, capsys, argv):
+        out = tmp_path / "newdir"
+        code, records, _ = run_cli(capsys, "synth", *argv, "--out", str(out))
+        assert code == 2
+        assert records == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "levels, message",
+        [
+            (6, "levels=6 is too deep for N=36 samples"),  # 2**5 <= 36 < 2**6
+            (2000, "levels=2000 is too deep for N=36 samples"),
+            (0, "levels must be >= 1, got 0"),
+            (-3, "levels must be >= 1, got -3"),
+        ],
+    )
+    def test_out_of_range_levels_exit_2_naming_levels(
+        self, uos_dataset, capsys, levels, message
+    ):
+        code, records, err = run_cli(
+            capsys, "hierarchy", "--set", f"data={uos_dataset / 'features.bin'}",
+            "--set", f"levels={levels}",
+        )
+        assert code == 2
+        assert records == []
+        assert message in err
+        assert len(err) < 200

@@ -7,6 +7,7 @@ from uoslearn.errors import DataError, DimensionError
 from uoslearn.linalg import (
     col_l21_prox,
     elementwise_shrink,
+    fix_eigvec_signs,
     svt,
     sym_eig_smallest,
 )
@@ -158,3 +159,43 @@ class TestSymEigSmallest:
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             sym_eig_smallest(m, 1)
+
+
+class TestSymEigSmallestPartial:
+    """`sym_eig_smallest` computes only the k smallest eigenpairs; where the
+    spectrum has a gap at k it spans the same space as a full eigh."""
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_projector_matches_full_eigh(self, rng, k):
+        n = 16
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = np.concatenate([rng.uniform(-1.0, 1.0, k), rng.uniform(2.0, 3.0, n - k)])
+        m = (q * lam) @ q.T
+        m = (m + m.T) / 2
+        f = sym_eig_smallest(m, k)
+        full = np.linalg.eigh(m)[1][:, :k]
+        assert np.abs(f @ f.T - full @ full.T).max() <= 1e-10
+        rayleigh = np.einsum("ij,ij->j", f, m @ f)
+        assert np.abs(rayleigh - np.sort(lam)[:k]).max() <= 1e-10
+        assert np.all(np.diff(rayleigh) > 0)
+        assert np.array_equal(fix_eigvec_signs(f), f)
+
+    def test_laplacian_null_space(self, rng):
+        # a graph of three components: the null space is their indicators
+        sizes = (4, 6, 5)
+        n = sum(sizes)
+        w = np.zeros((n, n))
+        start = 0
+        for size in sizes:
+            block = rng.uniform(0.5, 1.0, (size, size))
+            w[start:start + size, start:start + size] = (block + block.T) / 2
+            start += size
+        np.fill_diagonal(w, 0.0)
+        m = np.diag(w.sum(axis=1)) - w
+        f = sym_eig_smallest(m, len(sizes))
+        full = np.linalg.eigh(m)[1][:, : len(sizes)]
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        same = (labels[:, None] == labels[None, :]) / np.array(sizes)[labels]
+        assert np.abs(f @ f.T - full @ full.T).max() <= 1e-10
+        assert np.abs(f @ f.T - same).max() <= 1e-10
+        assert np.array_equal(fix_eigvec_signs(f), f)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_orthonormal, unit_columns
 from uoslearn import solver
 from uoslearn.errors import ConfigError, DataError, DimensionError, NumericalError
+from uoslearn.linalg import svt
 from uoslearn.metrics import clustering_accuracy
 from uoslearn.solver import (
     FeatureMatrix,
@@ -501,3 +502,48 @@ class TestSolverConfig:
     def test_non_finite_number_rejected(self, name, value):
         with pytest.raises(ConfigError):
             small_config(**{name: value})
+
+
+class TestGramSvtAgainstSvd:
+    """`svt` takes its singular pairs from a scaled Gram eigendecomposition;
+    it must stay within a bounded distance of the SVD-based `_svt_ref`."""
+
+    @pytest.mark.parametrize("beta", [0.5, 0.0], ids=["cslrr", "sclrr"])
+    def test_every_solver_input(self, monkeypatch, beta):
+        ucfg = UosSynthConfig(
+            m=30, subspaces=4, dim=3, points_per_subspace=15, noise=0.1, seed=5
+        )
+        x, _ = generate_synthetic_uos(ucfg)
+        calls = []
+
+        def recording_svt(a, tau):
+            calls.append((np.array(a), tau, svt(a, tau)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(solver, "svt", recording_svt)
+        config = SolverConfig(l_max=4, alpha=1.0, beta=beta, lam=10.0)
+        result = cslrr_solve(x, config)
+        assert result.converged
+        assert len(calls) == result.iterations
+        for a, tau, out in calls:
+            ref = _svt_ref(a, tau)
+            assert np.abs(out - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("shape", [(14, 9), (9, 14)], ids=["tall", "wide"])
+    def test_extreme_scales(self, rng, scale, shape):
+        a = rng.standard_normal(shape)
+        tau = float(np.median(np.linalg.svd(a, compute_uv=False)))
+        ref = _svt_ref(a * scale, tau * scale)
+        out = svt(a * scale, tau * scale)
+        assert np.linalg.matrix_rank(ref) not in (0, min(shape))
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)])
+    def test_zero_matrix(self, shape):
+        for tau in (0.0, 1.0):
+            assert np.array_equal(svt(np.zeros(shape), tau), np.zeros(shape))
+
+    def test_rank_deficient_at_zero_tau_is_identity(self, rng):
+        a = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 10))
+        assert np.abs(svt(a, 0.0) - a).max() <= 1e-12 * np.abs(a).max()
