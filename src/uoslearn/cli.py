@@ -54,7 +54,9 @@ SYNTH_KEYS = {
 }
 CLUSTER_KEYS = ("seed", "clusters", *DATA_KEYS, *SOLVER_KEYS)
 HIERARCHY_KEYS = ("seed", "levels", "gamma", "split_gain", "min_dim", *DATA_KEYS, *SOLVER_KEYS)
-CLASSIFY_KEYS = ("data", "classifier", "open", "k", "varsigma", "nu", "c")
+# The classifier keys; a saved bundle fixes them, so `classify --model` rejects them.
+MODEL_KEYS = ("classifier", "open", "k", "varsigma", "nu", "c")
+CLASSIFY_KEYS = ("data", *MODEL_KEYS)
 
 
 def emit(record: dict) -> None:
@@ -75,9 +77,11 @@ def _key_value(item: str, where: str) -> tuple[str, str]:
 def parse_config(path: Path) -> dict[str, str]:
     cfg = {}
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -286,6 +290,10 @@ def cmd_cluster(args) -> int:
     if args.beta is not None:
         cfg["beta"] = str(args.beta)
     k = args.clusters if args.clusters is not None else cfg_int(cfg, "clusters")
+    if k < 1:
+        raise ConfigError(f"clusters must be >= 1, got {k}")
+    if k > fm.n_samples:
+        raise ConfigError(f"clusters={k} exceeds the number of samples N={fm.n_samples}")
     seed = seed_from(args, cfg)
     scfg = solver_config_from(cfg, method, l_max=k)
     result = cslrr_solve(fm, scfg, log_stream=sys.stderr if args.verbose else None)
@@ -401,6 +409,12 @@ def cmd_classify(args) -> int:
         clash = [f"--{name.replace('_', '-')}" for name in ignored if getattr(args, name)]
         if clash:
             raise ConfigError(f"--model cannot be combined with {', '.join(clash)}")
+        fixed = [key for key in MODEL_KEYS if key in cfg]
+        if fixed:
+            raise ConfigError(
+                f"--model cannot be combined with config key(s) {', '.join(map(repr, fixed))}; "
+                "the saved bundle fixes them"
+            )
         leaves, model, kind = load_model_bundle(args.model)
         predictions = [predict_with_bundle(model, kind, s, leaves) for s in test]
         classifier = f"bundle:{kind}"

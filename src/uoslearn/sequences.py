@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DataError, DimensionError
 from .linalg import as_matrix
@@ -191,6 +190,9 @@ def align_features_dtw(sample_a: SequenceSample, sample_b: SequenceSample) -> np
     trimmed of redundant leading/trailing pairs where one side stays pinned
     at its first or last frame. Returns an (H, 2) array of index pairs.
     """
+    # Imported here: only feature warping needs scipy.spatial, which is slow to load.
+    from scipy.spatial.distance import cdist
+
     acc = _dtw_accumulate(cdist(sample_a.features.T, sample_b.features.T))
     a, b = sample_a.length - 1, sample_b.length - 1
     path = [(a, b)]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DimensionError
 from .linalg import as_matrix, fix_eigvec_signs
@@ -31,16 +30,22 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
+def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances, summed over the dimensions in order."""
+    diff = points.T[:, :, None] - centers.T[:, None, :]
+    return (diff * diff).sum(axis=0)
+
+
 def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int):
     k = centers.shape[0]
-    dist = cdist(points, centers, "sqeuclidean")
+    dist = _sq_distances(points, centers)
     labels = np.argmin(dist, axis=1)
     for _ in range(max_iter):
         for c in range(k):
             mask = labels == c
             if np.any(mask):
                 centers[c] = points[mask].mean(axis=0)
-        dist = cdist(points, centers, "sqeuclidean")
+        dist = _sq_distances(points, centers)
         new_labels = np.argmin(dist, axis=1)
         if np.array_equal(new_labels, labels):
             break

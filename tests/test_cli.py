@@ -554,3 +554,75 @@ class TestConfigKeys:
         assert records == []
         assert message in err
         assert len(err) < 200
+
+
+class TestRangeAndModelChecks:
+    """Config that the command would ignore or misreport exits 2, naming it."""
+
+    @pytest.mark.parametrize("via", ["set", "config"])
+    def test_model_rejects_config_keys_it_would_ignore(self, tmp_path, seq_dataset, capsys, via):
+        bundle = tmp_path / "model.uosm"
+        data = ["classify", "--data", str(seq_dataset)]
+        saved = run_cli(capsys, *data, "--classifier", "svm-ovo", "--save-model", str(bundle))
+        assert saved[0] == 0
+        keys = dict(k=7, classifier="svm-ova", open=1, varsigma=1.5, nu=2.0, c=3.0)
+        if via == "set":
+            extra = [arg for key, value in keys.items() for arg in ("--set", f"{key}={value}")]
+        else:
+            extra = ["--config", write_config(tmp_path / "m.cfg", **keys)]
+        code, records, err = run_cli(capsys, *data, "--model", str(bundle), *extra)
+        assert code == 2
+        assert records == []
+        assert (
+            "--model cannot be combined with config key(s) "
+            "'classifier', 'open', 'k', 'varsigma', 'nu', 'c'" in err
+        )
+
+    def test_model_names_only_the_keys_given(self, tmp_path, seq_dataset, capsys):
+        bundle = tmp_path / "model.uosm"
+        data = ["classify", "--data", str(seq_dataset)]
+        assert run_cli(capsys, *data, "--classifier", "knn", "--save-model", str(bundle))[0] == 0
+        code, records, err = run_cli(capsys, *data, "--model", str(bundle), "--set", "k=7")
+        assert code == 2
+        assert records == []
+        assert "config key(s) 'k';" in err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "clusters, message",
+        [
+            (37, "clusters=37 exceeds the number of samples N=36"),
+            (500, "clusters=500 exceeds the number of samples N=36"),
+            (0, "clusters must be >= 1, got 0"),
+            (-2, "clusters must be >= 1, got -2"),
+        ],
+    )
+    def test_out_of_range_clusters_exit_2_naming_clusters(
+        self, uos_dataset, capsys, clusters, message, via
+    ):
+        argv = ["cluster", "--set", f"data={uos_dataset / 'features.bin'}"]
+        if via == "flag":
+            argv += ["--clusters", str(clusters)]
+        else:
+            argv += ["--set", f"clusters={clusters}"]
+        code, records, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert records == []
+        assert message in err
+        assert "l_max" not in err
+
+    def test_clusters_equal_to_n_is_accepted(self, uos_dataset, capsys):
+        code, records, _ = run_cli(
+            capsys, "cluster", "--clusters", "36", "--set", "max_iters=3",
+            "--set", f"data={uos_dataset / 'features.bin'}",
+        )
+        assert code == 0
+        assert records[0]["clusters"] == 36
+
+    def test_non_utf8_config_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"data = x\xff\nclusters = 2\n")
+        code, records, err = run_cli(capsys, "cluster", "--config", str(cfg))
+        assert code == 2
+        assert records == []
+        assert f"config file {cfg} is not UTF-8 text" in err

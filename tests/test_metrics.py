@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uoslearn.errors import DimensionError
-from uoslearn.metrics import clustering_accuracy
+from uoslearn.metrics import assignment_optimum, clustering_accuracy
 
 
 class TestClusteringAccuracy:
@@ -42,3 +42,33 @@ class TestClusteringAccuracy:
         shuffle = r.permutation(4)
         assert clustering_accuracy(shuffle[pred], truth) == pytest.approx(base)
         assert clustering_accuracy(pred, shuffle[truth]) == pytest.approx(base)
+
+
+class TestAssignmentOptimum:
+    """The in-package Hungarian method against scipy's solver (test-only import)."""
+
+    @staticmethod
+    def scipy_optimum(w):
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(w, maximize=True)
+        return int(w[rows, cols].sum())
+
+    def test_random_rectangular_matrices_with_ties(self):
+        r = np.random.default_rng(9)
+        for trial in range(1500):
+            shape = r.integers(1, 9, size=2)
+            low = -3 if trial % 3 == 0 else 0  # confusion counts are >= 0
+            w = r.integers(low, r.integers(1, 5), size=shape)  # few values: many ties
+            assert assignment_optimum(w) == self.scipy_optimum(w), w
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5), (5, 3)])
+    def test_degenerate_shapes(self, shape):
+        w = np.arange(np.prod(shape)).reshape(shape) % 4
+        assert assignment_optimum(w) == self.scipy_optimum(w)
+        assert assignment_optimum(np.zeros(shape, dtype=int)) == 0
+
+    def test_confusion_matrix_of_larger_labelings(self):
+        r = np.random.default_rng(4)
+        w = r.integers(0, 30, size=(40, 25))
+        assert assignment_optimum(w) == self.scipy_optimum(w)

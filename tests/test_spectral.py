@@ -139,3 +139,62 @@ class TestSpectralCluster:
         w = block_affinity([5, 5], r, cross=0.2)
         labels = spectral_cluster(w, 2, seed=seed)
         assert set(labels) <= {0, 1}
+
+
+def cdist_kmeans(points, k, seed):
+    """`kmeans` as it stood with scipy's cdist for the Lloyd distances, verbatim."""
+    from scipy.spatial.distance import cdist
+
+    from uoslearn.spectral import KMEANS_MAX_ITER, KMEANS_RESTARTS, _kmeanspp_init
+
+    def lloyd(points, centers, max_iter):
+        k = centers.shape[0]
+        dist = cdist(points, centers, "sqeuclidean")
+        labels = np.argmin(dist, axis=1)
+        for _ in range(max_iter):
+            for c in range(k):
+                mask = labels == c
+                if np.any(mask):
+                    centers[c] = points[mask].mean(axis=0)
+            dist = cdist(points, centers, "sqeuclidean")
+            new_labels = np.argmin(dist, axis=1)
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        wcss = float(dist[np.arange(points.shape[0]), labels].sum())
+        return labels.astype(int), wcss
+
+    best_labels, best_wcss = None, np.inf
+    for child in np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS):
+        rng = np.random.default_rng(child)
+        labels, wcss = lloyd(points, _kmeanspp_init(points, k, rng), KMEANS_MAX_ITER)
+        if wcss < best_wcss:
+            best_wcss, best_labels = wcss, labels
+    return best_labels
+
+
+class TestKmeansDistances:
+    """The numpy Lloyd distances reproduce scipy's cdist (test-only import)."""
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_bitwise_equal_to_cdist_below_eight_dimensions(self, dim):
+        from scipy.spatial.distance import cdist
+
+        from uoslearn.spectral import _sq_distances
+
+        r = np.random.default_rng(dim)
+        for _ in range(100):
+            n, k = r.integers(1, 60), r.integers(1, 12)
+            points, centers = r.standard_normal((n, dim)), r.standard_normal((k, dim))
+            assert np.array_equal(
+                _sq_distances(points, centers), cdist(points, centers, "sqeuclidean")
+            )
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_labels_match_cdist_reference(self, k):
+        for seed in range(5):
+            r = np.random.default_rng(100 + seed)
+            # Unit rows in k dimensions, as spectral_cluster embeds them.
+            points = r.standard_normal((120, k))
+            points /= np.linalg.norm(points, axis=1, keepdims=True)
+            assert np.array_equal(kmeans(points, k, seed), cdist_kmeans(points, k, seed))
