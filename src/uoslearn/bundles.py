@@ -52,6 +52,13 @@ class KnnModel:
     varsigma: float = 1.2
     ceilings: dict[int, float] | None = None
 
+    def __post_init__(self):
+        # Checked before fit_ceilings or predict warps any sequence pair.
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
+        if self.open_set and not self.varsigma > 1:
+            raise ConfigError("varsigma must be > 1")
+
     def fit_ceilings(self, leaves: LeafSet) -> None:
         if self.open_set and self.ceilings is None:
             self.ceilings = class_distance_ceilings(self.train, leaves, self.k)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import datasets
 from .bundles import KnnModel, load_model_bundle, predict_with_bundle, save_model_bundle
+from .codec import write_file
 from .errors import ConfigError, DataError, DimensionError, NumericalError, UosError
 from .hierarchy import HierarchyConfig, hcs_lrr, read_tree, tree_summary, write_tree
 from .metrics import clustering_accuracy
@@ -202,11 +203,29 @@ def solver_config_from(cfg: dict[str, str], method: str, l_max: int) -> SolverCo
     )
 
 
+def load_truth(manifest: datasets.DatasetManifest, n_samples: int):
+    """The manifest's labels, checked against N before any solve; None without labels."""
+    if manifest.labels is None:
+        return None
+    truth = datasets.load_labels(manifest.labels)
+    if len(truth) != n_samples:
+        raise DataError(f"{manifest.labels}: {len(truth)} labels for N={n_samples} samples")
+    return truth
+
+
 def _write_residual_csv(path, history) -> None:
-    with open(path, "w") as fh:
-        fh.write("iter,r1,r2\n")
-        for i, (r1, r2) in enumerate(history, start=1):
-            fh.write(f"{i},{r1!r},{r2!r}\n")
+    # Python floats: under numpy 2 a numpy scalar's repr reads "np.float64(...)".
+    rows = "".join(
+        f"{i},{r1!r},{r2!r}\n" for i, (r1, r2) in enumerate(history.tolist(), start=1)
+    )
+    write_file(path, ("iter,r1,r2\n" + rows).encode())
+
+
+def _make_out_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{out}: cannot write: {exc}") from exc
 
 
 def cmd_synth(args) -> int:
@@ -229,7 +248,7 @@ def cmd_synth(args) -> int:
             seed=seed,
         )
         fm, labels = generate_synthetic_uos(ucfg)
-        out.mkdir(parents=True, exist_ok=True)
+        _make_out_dir(out)
         datasets.write_feature_bin(out / "features.bin", fm.data)
         datasets.write_labels(out / "labels.txt", labels)
         emit(
@@ -260,7 +279,7 @@ def cmd_synth(args) -> int:
     )
     samples, leaves = generate_synthetic_sequences(scfg)
     train, test = split_by_class(samples, train_pc)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     datasets.save_sequence_dataset(out / "train", train)
     datasets.save_sequence_dataset(out / "test", test)
     datasets.save_leaves(out / "leaves.bin", leaves)
@@ -284,6 +303,7 @@ def cmd_cluster(args) -> int:
     check_keys(cfg, CLUSTER_KEYS, "cluster")
     manifest = manifest_from_config(cfg, base)
     fm = datasets.load_feature_matrix(manifest)
+    truth = load_truth(manifest, fm.n_samples)
     method = args.method or cfg.get("method", "cslrr")
     if args.alpha is not None:
         cfg["alpha"] = str(args.alpha)
@@ -317,8 +337,7 @@ def cmd_cluster(args) -> int:
             "labels": labels.tolist(),
         }
     )
-    if manifest.labels is not None:
-        truth = datasets.load_labels(manifest.labels)
+    if truth is not None:
         emit(
             {
                 "record": "accuracy",
@@ -334,6 +353,7 @@ def cmd_hierarchy(args) -> int:
     check_keys(cfg, HIERARCHY_KEYS, "hierarchy")
     manifest = manifest_from_config(cfg, base)
     fm = datasets.load_feature_matrix(manifest)
+    truth = load_truth(manifest, fm.n_samples)
     seed = seed_from(args, cfg)
     levels = cfg_int(cfg, "levels")
     if levels < 1:
@@ -357,7 +377,7 @@ def cmd_hierarchy(args) -> int:
     if args.out:
         write_tree(tree, args.out)
     if args.summary:
-        Path(args.summary).write_text(tree_summary(tree))
+        write_file(args.summary, tree_summary(tree).encode())
     leaves = tree.leaves()
     labels = tree.leaf_labels()
     emit(
@@ -373,8 +393,7 @@ def cmd_hierarchy(args) -> int:
             "labels": labels.tolist(),
         }
     )
-    if manifest.labels is not None:
-        truth = datasets.load_labels(manifest.labels)
+    if truth is not None:
         emit(
             {
                 "record": "accuracy",

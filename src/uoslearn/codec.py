@@ -6,7 +6,7 @@ count, then u32 entries) and counted float64 matrices (u32 count, then
 per matrix u32 rows, u32 cols and the row-major data). The reader checks
 every field against the bytes that remain, every index against its bound,
 and that nothing follows the last field; each failure, an unreadable
-file included, is a DataError.
+file included, is a DataError, as is a path `write_file` cannot write.
 """
 
 from __future__ import annotations
@@ -17,6 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+
+
+def write_file(path, data: bytes) -> None:
+    """Write `data` to `path`; an unwritable path is a DataError naming it."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc}") from exc
 
 
 class Writer:
@@ -45,7 +53,7 @@ class Writer:
         self.array(mat, "<f8")
 
     def save(self, path) -> None:
-        Path(path).write_bytes(b"".join(self._parts))
+        write_file(path, b"".join(self._parts))
 
 
 class Reader:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import Reader, Writer
+from .codec import Reader, Writer, write_file
 from .errors import ConfigError, DataError
 from .sequences import LeafSet, SequenceSample
 from .solver import FeatureMatrix
@@ -125,7 +125,7 @@ def load_labels(path) -> np.ndarray:
 
 
 def write_labels(path, labels) -> None:
-    np.savetxt(path, np.asarray(labels, dtype=int), fmt="%d")
+    write_file(path, "".join(f"{v}\n" for v in np.asarray(labels, dtype=int).tolist()).encode())
 
 
 def load_boundaries(path, n_samples: int) -> list[tuple[int, int]]:

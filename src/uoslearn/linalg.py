@@ -7,7 +7,6 @@ NaN/Inf entries are rejected.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError, DimensionError
 
@@ -116,6 +115,9 @@ def sym_eig_smallest(m, k: int) -> np.ndarray:
     if np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
         raise ValueError("matrix is not symmetric")
     sym = (m + m.T) / 2.0
+    # Imported here: only the beta > 0 F step needs scipy.linalg, which is slow to load.
+    import scipy.linalg
+
     # Only the k smallest eigenpairs are computed; ascending order.
     _, vecs = scipy.linalg.eigh(sym, subset_by_index=[0, k - 1])
     return fix_eigvec_signs(vecs)

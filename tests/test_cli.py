@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from uoslearn import sequences, svm
+from uoslearn import cli, hierarchy, sequences, svm
 from uoslearn.cli import cli_main
 from uoslearn.datasets import write_feature_bin, write_feature_csv, write_labels
 from uoslearn.synth import UosSynthConfig, generate_synthetic_uos
@@ -185,6 +185,27 @@ class TestClusterCommand:
         assert code == 0
         assert records[0]["record"] == "accuracy"
         assert records[0]["value"] >= 0.99
+
+    def test_verbose_logs_one_residual_line_per_iteration(self, tmp_path, uos_dataset, capsys):
+        cfg = self.make_cfg(tmp_path, uos_dataset)
+        csv_out = tmp_path / "resid.csv"
+        assert cli_main(["cluster", "--config", cfg]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert cli_main(["cluster", "--config", cfg, "--verbose", "--emit-csv", str(csv_out)]) == 0
+        verbose = capsys.readouterr()
+        assert verbose.out == quiet.out
+        iterations = json.loads(verbose.out.splitlines()[0])["iterations"]
+        lines = verbose.err.splitlines()
+        rows = csv_out.read_text().splitlines()[1:]
+        assert len(lines) == len(rows) == iterations
+        for t, (line, row) in enumerate(zip(lines, rows), start=1):
+            fields = dict(item.split("=") for item in line.split())
+            assert list(fields) == ["iter", "r1", "r2", "mu"]
+            i, r1, r2 = row.split(",")
+            assert fields["iter"] == i == str(t)
+            assert fields["r1"] == f"{float(r1):.6e}"
+            assert fields["r2"] == f"{float(r2):.6e}"
 
 
 class TestHierarchyCommand:
@@ -626,3 +647,99 @@ class TestRangeAndModelChecks:
         assert code == 2
         assert records == []
         assert f"config file {cfg} is not UTF-8 text" in err
+
+
+class TestChecksBeforeWork:
+    """Input that would fail the run is rejected before the solve or the warps, and an
+    output path that cannot be written exits 2 naming it."""
+
+    @pytest.mark.parametrize("command", ["cluster", "hierarchy"])
+    def test_wrong_length_labels_exit_2_before_solving(
+        self, tmp_path, uos_dataset, capsys, monkeypatch, command
+    ):
+        short = tmp_path / "short.txt"
+        short.write_text("0\n1\n2\n0\n1\n")
+        solve, solves = cli.cslrr_solve, []
+
+        def counted_solve(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cslrr_solve", counted_solve)
+        monkeypatch.setattr(hierarchy, "cslrr_solve", counted_solve)
+        extra = ["--clusters", "3"] if command == "cluster" else ["--set", "levels=2"]
+        code, records, err = run_cli(
+            capsys, command, *extra, "--set", f"data={uos_dataset / 'features.bin'}",
+            "--set", f"labels={short}",
+        )
+        assert code == 2
+        assert records == []
+        assert solves == []
+        assert f"{short}: 5 labels for N=36 samples" in err
+
+    @pytest.mark.parametrize(
+        "command, flag, where",
+        [
+            ("cluster", "--out", "missing-dir"),
+            ("cluster", "--emit-csv", "missing-dir"),
+            ("hierarchy", "--out", "missing-dir"),
+            ("hierarchy", "--summary", "missing-dir"),
+            ("classify", "--save-model", "missing-dir"),
+            ("cluster", "--out", "directory"),
+            ("synth", "--out", "under-file"),
+        ],
+        ids=["cluster-out", "cluster-emit-csv", "hierarchy-out", "hierarchy-summary",
+             "classify-save-model", "cluster-out-directory", "synth-out-under-file"],
+    )
+    def test_unwritable_output_exits_2_naming_the_path(
+        self, tmp_path, uos_dataset, seq_dataset, capsys, command, flag, where
+    ):
+        (tmp_path / "file").write_text("")
+        target = {
+            "missing-dir": tmp_path / "missing" / "out",
+            "directory": tmp_path,
+            "under-file": tmp_path / "file" / "out",
+        }[where]
+        argv = {
+            "synth": ["synth", "--set", "kind=uos", "--set", "m=6", "--set", "subspaces=2",
+                      "--set", "dim=2", "--set", "points=5"],
+            "cluster": ["cluster", "--clusters", "3", "--set", "lambda=10"],
+            "hierarchy": ["hierarchy", "--set", "levels=2", "--set", "method=sclrr"],
+            "classify": ["classify", "--data", str(seq_dataset), "--classifier", "svm-ovo"],
+        }[command]
+        if command in ("cluster", "hierarchy"):
+            argv += ["--set", f"data={uos_dataset / 'features.bin'}"]
+        code, records, err = run_cli(capsys, *argv, flag, str(target))
+        assert code == 2
+        assert records == []
+        assert f"{target}: cannot write" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["--open", "--set", "varsigma=1"], "varsigma must be > 1"),
+            (["--open", "--set", "varsigma=0.5"], "varsigma must be > 1"),
+            (["--open", "--set", "k=0"], "k must be >= 1"),
+            (["--set", "k=0"], "k must be >= 1"),
+        ],
+        ids=["varsigma-one", "varsigma-half", "k-zero-open", "k-zero"],
+    )
+    def test_knn_checks_k_and_varsigma_before_warping(
+        self, seq_dataset, capsys, monkeypatch, overrides, message
+    ):
+        align = sequences.align_features_dtw
+        warps = []
+
+        def counted_align(a, b):
+            warps.append((a, b))
+            return align(a, b)
+
+        monkeypatch.setattr(sequences, "align_features_dtw", counted_align)
+        code, records, err = run_cli(
+            capsys, "classify", "--data", str(seq_dataset), "--classifier", "knn", *overrides
+        )
+        assert code == 2
+        assert records == []
+        assert message in err
+        assert warps == []

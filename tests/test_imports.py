@@ -1,9 +1,11 @@
 """Each command loads only the SciPy subpackages it runs.
 
-`import uoslearn.cli` loads numpy and `scipy.linalg`. `scipy.optimize`
-is never loaded, and `scipy.spatial` only by feature-sequence warping
-(k-NN classification). Each check runs in a fresh interpreter, since
-this test process has imported both long ago.
+`import uoslearn.cli` loads numpy and no SciPy subpackage. `scipy.linalg`
+loads with the first beta > 0 embedding step (cslrr clustering),
+`scipy.spatial` with the first feature-sequence warp (k-NN
+classification), and `scipy.optimize` never. Every other command runs
+on numpy alone. Each check runs in a fresh interpreter, since this test
+process has imported all of them long ago.
 """
 
 import json
@@ -19,26 +21,40 @@ import uoslearn
 SRC = Path(uoslearn.__file__).resolve().parents[1]
 
 SCRIPT = """
-import json, sys
+import contextlib, io, json, sys
+stages, modules, block = json.loads(sys.argv[1])
+if block:
+    sys.modules["scipy"] = None  # every scipy import now raises ImportError
 from uoslearn.cli import cli_main
-loaded = {"import": sorted(m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules)}
-for name, argv in json.loads(sys.argv[1]):
-    assert cli_main(argv) == 0, argv
-    loaded[name] = sorted(m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules)
-print(json.dumps(loaded), file=sys.stderr)
+report = {"import": {"loaded": sorted(m for m in modules if m in sys.modules)}}
+for name, argv in stages:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(argv) == 0, argv
+    report[name] = {"loaded": sorted(m for m in modules if m in sys.modules),
+                    "stdout": out.getvalue()}
+print(json.dumps(report), file=sys.stderr)
 """
 
 
-def loaded_after(stages):
-    """Run the stages in one fresh interpreter; the scipy subpackages loaded after each."""
+def run_fresh(stages, modules=(), block=False):
+    """Run the stages in one fresh interpreter, SciPy blocked if `block`.
+
+    Returns, per stage, the `modules` loaded after it and its stdout.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(stages)],
+        [sys.executable, "-c", SCRIPT, json.dumps([stages, modules, block])],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stderr.strip().splitlines()[-1])
+
+
+def loaded_after(stages, modules=("scipy.optimize", "scipy.spatial")):
+    """Run the stages in one fresh interpreter; the `modules` loaded after each."""
+    return {name: r["loaded"] for name, r in run_fresh(stages, modules).items()}
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +83,42 @@ def test_only_feature_warping_loads_scipy_spatial(stages):
     assert loaded["cluster"] == []
     assert loaded["svm-ovo"] == []
     assert loaded["knn"] == ["scipy.spatial"]
+
+
+def test_only_the_embedding_step_loads_scipy_linalg(stages):
+    synth_uos, cluster = stages[0][1], stages[2][1]
+    loaded = loaded_after(
+        [("synth", synth_uos), ("sclrr", [*cluster, "--method", "sclrr"]), ("cslrr", cluster)],
+        modules=("scipy.linalg",),
+    )
+    assert loaded["import"] == []
+    assert loaded["sclrr"] == []
+    assert loaded["cslrr"] == ["scipy.linalg"]
+
+
+def test_beta_zero_commands_run_without_scipy(stages, tmp_path):
+    synth_uos, synth_seq, cluster = (argv for _, argv in stages[:3])
+    uos = Path(synth_uos[synth_uos.index("--out") + 1])
+    data, truth = uos / "features.bin", str(uos / "labels.txt")
+    seq = synth_seq[synth_seq.index("--out") + 1]
+    pred, tree, bundle = tmp_path / "pred.txt", tmp_path / "tree.uost", tmp_path / "model.uosm"
+    classify = ["classify", "--data", seq]
+    numpy_only = [
+        ("synth-uos", synth_uos),
+        ("synth-seq", synth_seq),
+        ("cluster-lrr", [*cluster, "--method", "lrr", "--out", str(pred)]),
+        ("cluster-sclrr", [*cluster, "--method", "sclrr"]),
+        ("hierarchy", ["hierarchy", "--set", f"data={data}", "--set", f"labels={truth}",
+                       "--set", "levels=1", "--set", "method=sclrr", "--set", "lambda=10",
+                       "--out", str(tree), "--summary", str(tmp_path / "tree.txt")]),
+        ("svm-ovo", [*classify, "--classifier", "svm-ovo", "--save-model", str(bundle)]),
+        ("svm-ova-open", [*classify, "--classifier", "svm-ova", "--open"]),
+        ("model", [*classify, "--model", str(bundle)]),
+        ("eval", ["eval", "--pred", str(pred), "--truth", truth]),
+    ]
+    free = run_fresh(numpy_only, modules=("scipy",))
+    blocked = run_fresh(numpy_only, block=True)
+    for name, _ in numpy_only:
+        assert free[name]["loaded"] == [], name
+        assert blocked[name]["stdout"] == free[name]["stdout"], name
+        assert free[name]["stdout"], name
