@@ -119,9 +119,15 @@ def load_feature_matrix(manifest: DatasetManifest) -> FeatureMatrix:
 
 def load_labels(path) -> np.ndarray:
     try:
-        return np.loadtxt(path, dtype=int, ndmin=1)
+        with warnings.catch_warnings():
+            # numpy warns on a file without labels; the check below rejects it.
+            warnings.simplefilter("ignore", UserWarning)
+            labels = np.loadtxt(path, dtype=int, ndmin=1)
     except (OSError, ValueError) as exc:
         raise DataError(f"{path}: cannot read integer labels: {exc}") from exc
+    if labels.size == 0:
+        raise DataError(f"{path}: no labels")
+    return labels
 
 
 def write_labels(path, labels) -> None:

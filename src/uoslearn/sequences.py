@@ -10,6 +10,7 @@ by the nearest-neighbor classifiers).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,10 @@ from .errors import ConfigError, DataError, DimensionError
 from .linalg import as_matrix
 
 UNIT_NORM_TOL = 1e-6
+
+# Cells of squared differences `_frame_distances` holds at once (512 KiB), unless
+# a single dimension's n x p cells need more.
+FRAME_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -163,7 +168,7 @@ def dtw_grassmann(psi_a, psi_b, leaves: LeafSet) -> float:
     for psi in (psi_a, psi_b):
         if psi.min() < 0 or psi.max() >= n_leaves:
             raise DimensionError("assignment index out of range")
-    return float(_dtw_accumulate(leaves.distances[np.ix_(psi_a, psi_b)])[-1][-1])
+    return float(_dtw_accumulate(leaves.distances[psi_a[:, None], psi_b])[-1][-1])
 
 
 def _pinned_run(path: np.ndarray) -> int:
@@ -183,6 +188,33 @@ def _trim_pinned(path: np.ndarray) -> np.ndarray:
     return trimmed[: len(trimmed) - _pinned_run(trimmed[::-1]) + 1]
 
 
+def _frame_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the columns of a (m x n) and b (m x p), as n x p.
+
+    Each cell adds its squared differences one dimension at a time, from
+    the first, then takes the square root: the order scipy's euclidean
+    cdist uses, so the values equal it bit for bit.
+    """
+    m, n, p = a.shape[0], a.shape[1], b.shape[1]
+    # np.add.reduce adds in order along every axis but the fast one in memory,
+    # which it sums pairwise. A lone cell (n = p = 1) gets a zero spare column,
+    # so that the dimension axis is never the fast one.
+    spare = int(n * p == 1)
+    rows = min(m, max(1, FRAME_BLOCK_CELLS // (n * p)))
+    sq = np.empty((rows, n, p + spare))
+    sq[:, :, p:] = 0.0
+    for start in range(0, m, rows):
+        block = sq[: min(rows, m - start)]
+        stop = start + len(block)
+        np.subtract(a[start:stop, :, None], b[start:stop, None, :], out=block[:, :, :p])
+        block *= block
+        if start:
+            block[0] += out  # carry the running sums on, in order
+        out = np.add.reduce(block, axis=0)
+    out = out[:, :p]
+    return np.sqrt(out, out=out)
+
+
 def align_features_dtw(sample_a: SequenceSample, sample_b: SequenceSample) -> np.ndarray:
     """Optimal warping path between two feature sequences, boundary-trimmed.
 
@@ -190,10 +222,7 @@ def align_features_dtw(sample_a: SequenceSample, sample_b: SequenceSample) -> np
     trimmed of redundant leading/trailing pairs where one side stays pinned
     at its first or last frame. Returns an (H, 2) array of index pairs.
     """
-    # Imported here: only feature warping needs scipy.spatial, which is slow to load.
-    from scipy.spatial.distance import cdist
-
-    acc = _dtw_accumulate(cdist(sample_a.features.T, sample_b.features.T))
+    acc = _dtw_accumulate(_frame_distances(sample_a.features, sample_b.features))
     a, b = sample_a.length - 1, sample_b.length - 1
     path = [(a, b)]
     while a or b:
@@ -240,9 +269,18 @@ def _feature_aligned_distance(leaves: LeafSet):
     return lambda a, b: sequence_distance(a, b, a.assignment, b.assignment, leaves)
 
 
-def _mean_k_smallest(distances, k: int) -> float:
+def _check_class_sizes(train: list[SequenceSample], k: int, leave_one_out: bool) -> None:
+    """Reject k before any warp: each class needs k members, k + 1 to leave one out."""
     if k < 1:
         raise ConfigError("k must be >= 1")
+    for cid, size in Counter(s.label for s in train).items():
+        if leave_one_out and size <= k:
+            raise ConfigError(f"class {cid} needs more than k={k} members")
+        if size < k:
+            raise ConfigError(f"class {cid} has fewer than k={k} training sequences")
+
+
+def _mean_k_smallest(distances, k: int) -> float:
     return float(np.mean(np.sort(distances)[:k]))
 
 
@@ -253,6 +291,7 @@ def _test_class_distances(
     k: int,
 ) -> dict[int, float]:
     """Average distance from `test` to the k nearest members of each class."""
+    _check_class_sizes(train, k, leave_one_out=False)
     for s in [test, *train]:
         _ensure_assignment(s, leaves)
     row = _pair_matrix(_feature_aligned_distance(leaves), [test], train)[0]
@@ -261,8 +300,6 @@ def _test_class_distances(
         by_class.setdefault(s.label, []).append(d)
     scores = {}
     for cid, dists in by_class.items():
-        if len(dists) < k:
-            raise ConfigError(f"class {cid} has fewer than k={k} training sequences")
         scores[cid] = _mean_k_smallest(dists, k)
     return scores
 
@@ -290,14 +327,13 @@ def class_distance_ceilings(
     same-class neighbors (excluding itself); the ceiling of a class is the
     maximum of these averages. Every class needs at least k+1 members.
     """
+    _check_class_sizes(train, k, leave_one_out=True)
     distance = _feature_aligned_distance(leaves)
     by_class: dict[int, list[SequenceSample]] = {}
     for s in train:
         by_class.setdefault(s.label, []).append(s)
     ceilings = {}
     for cid, members in sorted(by_class.items()):
-        if len(members) <= k:
-            raise ConfigError(f"class {cid} needs more than k={k} members")
         for s in members:
             _ensure_assignment(s, leaves)
         dist = _pair_matrix(distance, members)
@@ -347,7 +383,8 @@ def dtw_distance_matrix(
 
 def check_bandwidth(nu: float) -> np.float64:
     """Return nu^2 for a usable Gaussian bandwidth nu; ConfigError otherwise."""
-    nu_sq = np.float64(nu) ** 2  # a huge nu saturates instead of raising OverflowError
+    with np.errstate(over="ignore"):  # a huge nu saturates: no OverflowError, no warning
+        nu_sq = np.float64(nu) ** 2
     if not (nu > 0 and nu_sq > 0):  # also rejects nan and a square that underflows
         raise ConfigError("nu must be positive, with a nonzero square")
     return nu_sq

@@ -395,6 +395,16 @@ class TestCliErrors:
         assert code == 2
         assert f"config key {key} must be finite" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_nu_saturates_silently(self, seq_dataset, capsys):
+        code, records, err = run_cli(
+            capsys, "classify", "--classifier", "svm-ovo",
+            "--set", f"data={seq_dataset}", "--set", "nu=1e300",
+        )
+        assert code == 0
+        assert records[-1]["record"] == "classification_summary"
+        assert err == ""
+
     @pytest.mark.parametrize("nu", ["-1", "0", "1e-200"])
     def test_nu_must_be_positive(self, seq_dataset, capsys, nu):
         code, records, err = run_cli(
@@ -477,6 +487,19 @@ class TestCliErrors:
         assert code == 3
         assert "non-finite Q thresholds at iteration" in err
         assert records == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_labels_file_exits_2_with_only_the_error(self, tmp_path, uos_dataset, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        labels = str(uos_dataset / "labels.txt")
+        for pred, truth in ((labels, empty), (empty, labels)):
+            code, records, err = run_cli(
+                capsys, "eval", "--pred", str(pred), "--truth", str(truth)
+            )
+            assert code == 2
+            assert records == []
+            assert err == f"error: {empty}: no labels\n"
 
     def test_malformed_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -722,8 +745,11 @@ class TestChecksBeforeWork:
             (["--open", "--set", "varsigma=0.5"], "varsigma must be > 1"),
             (["--open", "--set", "k=0"], "k must be >= 1"),
             (["--set", "k=0"], "k must be >= 1"),
+            (["--open", "--set", "k=5"], "class 0 needs more than k=5 members"),
+            (["--set", "k=6"], "class 0 has fewer than k=6 training sequences"),
         ],
-        ids=["varsigma-one", "varsigma-half", "k-zero-open", "k-zero"],
+        ids=["varsigma-one", "varsigma-half", "k-zero-open", "k-zero", "k-at-class-open",
+             "k-above-class"],
     )
     def test_knn_checks_k_and_varsigma_before_warping(
         self, seq_dataset, capsys, monkeypatch, overrides, message

@@ -1,11 +1,11 @@
 """Each command loads only the SciPy subpackages it runs.
 
 `import uoslearn.cli` loads numpy and no SciPy subpackage. `scipy.linalg`
-loads with the first beta > 0 embedding step (cslrr clustering),
-`scipy.spatial` with the first feature-sequence warp (k-NN
-classification), and `scipy.optimize` never. Every other command runs
-on numpy alone. Each check runs in a fresh interpreter, since this test
-process has imported all of them long ago.
+loads with the first beta > 0 embedding step (cslrr clustering), and
+`scipy.spatial` and `scipy.optimize` never. Every other command,
+k-NN classification included, runs on numpy alone. Each check runs in
+a fresh interpreter, since this test process has imported all of them
+long ago.
 """
 
 import json
@@ -77,12 +77,18 @@ def stages(tmp_path_factory):
     ]
 
 
-def test_only_feature_warping_loads_scipy_spatial(stages):
-    loaded = loaded_after(stages)
-    assert loaded["import"] == []
-    assert loaded["cluster"] == []
-    assert loaded["svm-ovo"] == []
-    assert loaded["knn"] == ["scipy.spatial"]
+def test_knn_loads_no_scipy(stages):
+    """Import, synth, SVM and k-NN load no SciPy; cslrr then loads scipy.linalg only."""
+    (_, synth_uos), (_, synth_seq), (_, cluster), svm, knn = stages
+    loaded = loaded_after(
+        [("synth-seq", synth_seq), svm, knn, ("knn-open", [*knn[1], "--open"]),
+         ("synth-uos", synth_uos), ("cluster", cluster)],
+        modules=("scipy", "scipy.linalg", "scipy.optimize", "scipy.spatial"),
+    )
+    assert loaded.pop("cluster") == ["scipy", "scipy.linalg"]
+    assert loaded == dict.fromkeys(
+        ["import", "synth-seq", "svm-ovo", "knn", "knn-open", "synth-uos"], []
+    )
 
 
 def test_only_the_embedding_step_loads_scipy_linalg(stages):
@@ -102,6 +108,7 @@ def test_beta_zero_commands_run_without_scipy(stages, tmp_path):
     data, truth = uos / "features.bin", str(uos / "labels.txt")
     seq = synth_seq[synth_seq.index("--out") + 1]
     pred, tree, bundle = tmp_path / "pred.txt", tmp_path / "tree.uost", tmp_path / "model.uosm"
+    knn_bundle = tmp_path / "knn.uosm"
     classify = ["classify", "--data", seq]
     numpy_only = [
         ("synth-uos", synth_uos),
@@ -114,6 +121,10 @@ def test_beta_zero_commands_run_without_scipy(stages, tmp_path):
         ("svm-ovo", [*classify, "--classifier", "svm-ovo", "--save-model", str(bundle)]),
         ("svm-ova-open", [*classify, "--classifier", "svm-ova", "--open"]),
         ("model", [*classify, "--model", str(bundle)]),
+        ("knn-open", [*classify, "--classifier", "knn", "--open", "--set", "k=2"]),
+        ("knn-save", [*classify, "--classifier", "knn", "--set", "k=1",
+                      "--save-model", str(knn_bundle)]),
+        ("knn-model", [*classify, "--model", str(knn_bundle)]),
         ("eval", ["eval", "--pred", str(pred), "--truth", truth]),
     ]
     free = run_fresh(numpy_only, modules=("scipy",))

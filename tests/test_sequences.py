@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from conftest import random_orthonormal, unit_columns
+from uoslearn import sequences
 from uoslearn.errors import ConfigError, DataError, DimensionError
 from uoslearn.sequences import (
+    FRAME_BLOCK_CELLS,
     LeafSet,
     SequenceSample,
     align_features_dtw,
@@ -21,6 +23,7 @@ from uoslearn.sequences import (
     open_set_knn,
     sequence_distance,
     subspace_distance,
+    _frame_distances,
 )
 from uoslearn.synth import SequenceSynthConfig, generate_synthetic_sequences, split_by_class
 
@@ -262,6 +265,40 @@ class TestAlignFeaturesDtw:
         assert np.all(diffs.sum(axis=1) >= 1)
 
 
+class TestFrameDistances:
+    """The frame costs equal scipy's euclidean cdist bit for bit on every shape."""
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (1, 6), (6, 1), (2, 2), (21, 30)])
+    def test_equal_to_cdist(self, rng, n, p):
+        for m in [*range(1, 18), 31, 32, 33, 64, 65, 100]:
+            for scale in (1e-3, 1.0, 1e3):
+                a = scale * rng.standard_normal((m, n))
+                b = scale * rng.standard_normal((m, p))
+                assert np.array_equal(_frame_distances(a, b), cdist(a.T, b.T)), (m, scale)
+
+    def test_random_shapes_and_scales(self, rng):
+        for _ in range(300):
+            m, n, p = rng.integers(1, 70), rng.integers(1, 5), rng.integers(1, 5)
+            a = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3)
+            b = rng.standard_normal((m, p)) * 10.0 ** rng.uniform(-3, 3)
+            assert np.array_equal(_frame_distances(a, b), cdist(a.T, b.T)), (m, n, p)
+
+    def test_identical_frames_give_exact_zeros(self, rng):
+        a = rng.standard_normal((40, 5))
+        got = _frame_distances(a, a[:, ::-1])
+        assert np.array_equal(got, cdist(a.T, a[:, ::-1].T))
+        assert np.all(got[np.arange(5), np.arange(5)[::-1]] == 0.0)
+        assert np.array_equal(_frame_distances(a[:, :1], a[:, :1]), [[0.0]])
+
+    @pytest.mark.parametrize(
+        "m, n, p", [(10, 130, 130), (4, 1, FRAME_BLOCK_CELLS + 1), (3, 300, 250)]
+    )
+    def test_blocks_of_dimensions_keep_the_order(self, rng, m, n, p):
+        assert m * n * p > FRAME_BLOCK_CELLS  # more than one block
+        a, b = rng.standard_normal((m, n)), rng.standard_normal((m, p))
+        assert np.array_equal(_frame_distances(a, b), cdist(a.T, b.T))
+
+
 class TestDtwEngineMatchesReference:
     def test_assignment_dtw_exact(self, rng):
         # Leaves spanned by one or two of four coordinate axes lie exactly 0,
@@ -438,6 +475,36 @@ class TestKnn:
         with pytest.raises(ConfigError):
             knn_classify(train[0], train, leaves, k=4)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda t, tr, lv: knn_classify(t, tr, lv, k=0), "k must be >= 1"),
+            (lambda t, tr, lv: knn_classify(t, tr, lv, k=4), "class 0 has fewer than k=4"),
+            (lambda t, tr, lv: open_set_knn(t, tr, lv, k=0), "k must be >= 1"),
+            (lambda t, tr, lv: open_set_knn(t, tr, lv, k=3), "class 0 needs more than k=3"),
+            (
+                lambda t, tr, lv: open_set_knn(t, tr, lv, k=4, ceilings={0: 1.0, 1: 1.0, 2: 1.0}),
+                "class 0 has fewer than k=4",
+            ),
+            (lambda t, tr, lv: class_distance_ceilings(tr, lv, k=0), "k must be >= 1"),
+        ],
+        ids=["knn-k0", "knn-k-above-class", "open-k0", "open-k-at-class",
+             "open-ceilings-k-above-class", "ceilings-k0"],
+    )
+    def test_k_is_checked_before_any_warp(self, monkeypatch, call, message):
+        samples, leaves = make_sequence_dataset(per_class=4)
+        train, test = split_by_class(samples, 3)
+        align, warps = sequences.align_features_dtw, []
+
+        def counted_align(a, b):
+            warps.append((a, b))
+            return align(a, b)
+
+        monkeypatch.setattr(sequences, "align_features_dtw", counted_align)
+        with pytest.raises(ConfigError, match=message):
+            call(test[0], train, leaves)
+        assert warps == []
+
 
 class TestOpenSetKnn:
     def test_training_sequence_accepted(self):
@@ -494,11 +561,11 @@ class TestGaussianKernel:
         k = gaussian_dtw_kernel(assigns, leaves, nu=1e8)
         assert np.allclose(k, 1.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_huge_nu_gives_unit_kernel(self):
-        # nu**2 overflows a Python float; the kernel must saturate, not raise.
+        # nu**2 overflows a Python float; the kernel must saturate, not raise or warn.
         samples, leaves = make_sequence_dataset(seed=6)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            k = gaussian_dtw_kernel([s.assignment for s in samples[:4]], leaves, nu=1e200)
+        k = gaussian_dtw_kernel([s.assignment for s in samples[:4]], leaves, nu=1e200)
         assert np.array_equal(k, np.ones((4, 4)))
 
     def test_median_bandwidth_positive(self, rng):
