@@ -15,7 +15,6 @@ from .hierarchy import (
     estimate_subspace,
     hcs_lrr,
     read_tree,
-    relative_error,
     tree_summary,
     try_split,
     write_tree,
@@ -33,7 +32,6 @@ from .sequences import (
     align_features_dtw,
     assign_to_leaves,
     dtw_grassmann,
-    gaussian_dtw_kernel,
     knn_classify,
     open_set_knn,
     sequence_distance,

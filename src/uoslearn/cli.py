@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import datasets
 from .bundles import KnnModel, load_model_bundle, predict_with_bundle, save_model_bundle
-from .codec import write_file
-from .errors import ConfigError, DataError, DimensionError, NumericalError, UosError
+from .codec import make_dir, write_file
+from .errors import ConfigError, DataError, NumericalError, UosError
 from .hierarchy import HierarchyConfig, hcs_lrr, read_tree, tree_summary, write_tree
 from .metrics import clustering_accuracy
 from .sequences import LeafSet, assign_to_leaves
@@ -221,11 +221,9 @@ def _write_residual_csv(path, history) -> None:
     write_file(path, ("iter,r1,r2\n" + rows).encode())
 
 
-def _make_out_dir(out: Path) -> None:
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"{out}: cannot write: {exc}") from exc
+def _log_residuals(state) -> None:
+    r1, r2 = state.residuals[-1]
+    diag(f"iter={state.t} r1={r1:.6e} r2={r2:.6e} mu={state.mu:.6e}")
 
 
 def cmd_synth(args) -> int:
@@ -248,7 +246,7 @@ def cmd_synth(args) -> int:
             seed=seed,
         )
         fm, labels = generate_synthetic_uos(ucfg)
-        _make_out_dir(out)
+        make_dir(out)
         datasets.write_feature_bin(out / "features.bin", fm.data)
         datasets.write_labels(out / "labels.txt", labels)
         emit(
@@ -279,7 +277,7 @@ def cmd_synth(args) -> int:
     )
     samples, leaves = generate_synthetic_sequences(scfg)
     train, test = split_by_class(samples, train_pc)
-    _make_out_dir(out)
+    make_dir(out)
     datasets.save_sequence_dataset(out / "train", train)
     datasets.save_sequence_dataset(out / "test", test)
     datasets.save_leaves(out / "leaves.bin", leaves)
@@ -316,7 +314,7 @@ def cmd_cluster(args) -> int:
         raise ConfigError(f"clusters={k} exceeds the number of samples N={fm.n_samples}")
     seed = seed_from(args, cfg)
     scfg = solver_config_from(cfg, method, l_max=k)
-    result = cslrr_solve(fm, scfg, log_stream=sys.stderr if args.verbose else None)
+    result = cslrr_solve(fm, scfg, callback=_log_residuals if args.verbose else None)
     if not result.converged:
         diag(f"solver did not converge within {scfg.max_iters} iterations")
     w = build_affinity(threshold_coefficients(result.z, scfg.coeff_threshold))
@@ -604,9 +602,6 @@ def cli_main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, DataError, DimensionError) as exc:
-        diag(f"error: {exc}")
-        return 2
     except NumericalError as exc:
         diag(f"numerical failure: {exc}")
         return 3

@@ -6,7 +6,8 @@ count, then u32 entries) and counted float64 matrices (u32 count, then
 per matrix u32 rows, u32 cols and the row-major data). The reader checks
 every field against the bytes that remain, every index against its bound,
 and that nothing follows the last field; each failure, an unreadable
-file included, is a DataError, as is a path `write_file` cannot write.
+file included, is a DataError, as is a path `write_file` or `make_dir`
+cannot write.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ def write_file(path, data: bytes) -> None:
     """Write `data` to `path`; an unwritable path is a DataError naming it."""
     try:
         Path(path).write_bytes(data)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc}") from exc
+
+
+def make_dir(path) -> None:
+    """Create directory `path` and its parents; an unwritable path is a DataError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"{path}: cannot write: {exc}") from exc
 

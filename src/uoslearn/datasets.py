@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import Reader, Writer, write_file
+from .codec import Reader, Writer, make_dir, write_file
 from .errors import ConfigError, DataError
 from .sequences import LeafSet, SequenceSample
 from .solver import FeatureMatrix
@@ -88,10 +88,6 @@ def read_feature_csv(path) -> np.ndarray:
     return rows.T  # samples become columns
 
 
-def write_feature_csv(path, data: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(data, dtype=float).T, delimiter=",")
-
-
 def read_feature_bin(path) -> np.ndarray:
     reader = Reader(path, FEATURE_MAGIC, FORMAT_VERSION, "feature binary")
     m, n = reader.fields("II")
@@ -158,9 +154,7 @@ def load_boundaries(path, n_samples: int) -> list[tuple[int, int]]:
 
 
 def write_boundaries(path, spans) -> None:
-    with open(path, "w") as fh:
-        for start, end in spans:
-            fh.write(f"{start} {end}\n")
+    write_file(path, "".join(f"{start} {end}\n" for start, end in spans).encode())
 
 
 def save_leaves(path, leaves: LeafSet) -> None:
@@ -198,7 +192,7 @@ def load_sequence_dataset(directory) -> list[SequenceSample]:
 
 def save_sequence_dataset(directory, samples: list[SequenceSample]) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    make_dir(directory)
     data = np.hstack([s.features for s in samples])
     spans = []
     cursor = 0

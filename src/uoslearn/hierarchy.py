@@ -1,9 +1,11 @@
 """Hierarchical subspace clustering by repeated 2-way spectral splits.
 
 The representation solver is run once; its thresholded affinity matrix is
-reused at every level. Levels 1 and 2 split unconditionally; deeper levels
-split a cluster only when a child subspace fits its samples enough better
-than the parent subspace and both child dimensions clear a minimum.
+reused at every level. One routine, `try_split`, splits every node: the
+root (level 0, not stored) and the level-1 clusters split unconditionally;
+from level 2 on a cluster splits only when a child subspace fits its
+samples enough better than the parent subspace and both child dimensions
+clear a minimum.
 """
 
 from __future__ import annotations
@@ -78,16 +80,6 @@ class HierarchyTree:
     def leaves(self) -> list[SubspaceNode]:
         return [n for n in self.nodes if n.children is None]
 
-    def partition_at(self, level: int) -> list[SubspaceNode]:
-        """Clusters active at `level`: nodes split no earlier than level+1."""
-        if not 1 <= level <= self.max_level:
-            raise DimensionError(f"level must be in [1, {self.max_level}]")
-        return [
-            n
-            for n in self.nodes
-            if n.level == level or (n.level < level and n.children is None)
-        ]
-
     def leaf_labels(self) -> np.ndarray:
         labels = np.full(self.n_samples, -1, dtype=int)
         for pos, n in enumerate(self.leaves()):
@@ -121,18 +113,8 @@ def estimate_subspace(xc, gamma: float) -> tuple[np.ndarray, int]:
     return fix_eigvec_signs(u_full[:, :d]), d
 
 
-def relative_error(x, basis) -> float:
-    """Squared residual of projecting x onto the basis span, relative to ||x||^2."""
-    x = np.asarray(x, dtype=float).ravel()
-    sq = float(x @ x)
-    if sq <= 0:
-        raise DataError("cannot project a zero vector")
-    resid = x - basis @ (basis.T @ x)
-    return float(np.clip((resid @ resid) / sq, 0.0, 1.0))
-
-
 def mean_relative_error(xs: np.ndarray, basis: np.ndarray) -> float:
-    """Mean of relative_error over the columns of xs."""
+    """Mean over the columns x of xs of ||x - P x||^2 / ||x||^2, P the basis projector."""
     sq = (xs * xs).sum(axis=0)
     if np.any(sq <= 0):
         raise DataError("cannot project a zero vector")
@@ -159,36 +141,32 @@ def try_split(
     cfg: HierarchyConfig,
     seed: int,
 ):
-    """Attempt to split a divisible node at the next level.
+    """Attempt to split a divisible node into two children one level down.
 
-    Bisects the node's affinity submatrix, estimates the child subspaces,
-    and accepts the split when the mean relative representation error of a
-    child improves on the parent's by at least split_gain (fractionally)
-    for either child, and both child dimensions are at least min_dim.
-    Returns ((indices, basis, dim), (indices, basis, dim)) on acceptance;
-    on rejection marks the node a leaf and returns None.
+    Bisects the node's affinity submatrix and estimates the child subspaces.
+    Nodes at levels 0 and 1 split whenever both sides are nonempty; from
+    level 2 on, the split is accepted when the mean relative representation
+    error of a child improves on the parent's by at least split_gain
+    (fractionally) for either child, and both child dimensions are at least
+    min_dim. Returns [(indices, basis, dim), (indices, basis, dim)] on
+    acceptance and None otherwise; the node is left unchanged.
     """
     if not node.divisible or node.size < 2:
         raise ConfigError("try_split requires a divisible node with >= 2 samples")
     sides = _bisect(node.indices, w, seed)
     if sides is None:
-        node.divisible = False
         return None
-    children = []
+    children = [(idx, *estimate_subspace(x.data[:, idx], cfg.gamma)) for idx in sides]
+    if node.level < 2:
+        return children
     gains = []
-    for idx in sides:
+    for idx, u, _ in children:
         xc = x.data[:, idx]
-        u, d = estimate_subspace(xc, cfg.gamma)
         delta = mean_relative_error(xc, node.basis)
         zeta = mean_relative_error(xc, u)
-        gain = 0.0 if delta <= PERFECT_FIT_TOL else (delta - zeta) / delta
-        children.append((idx, u, d))
-        gains.append(gain)
-    dims_ok = min(children[0][2], children[1][2]) >= cfg.min_dim
-    if (max(gains) >= cfg.split_gain) and dims_ok:
-        return tuple(children)
-    node.divisible = False
-    return None
+        gains.append(0.0 if delta <= PERFECT_FIT_TOL else (delta - zeta) / delta)
+    dims_ok = min(dim for _, _, dim in children) >= cfg.min_dim
+    return children if max(gains) >= cfg.split_gain and dims_ok else None
 
 
 def hcs_lrr(
@@ -200,9 +178,12 @@ def hcs_lrr(
     """Build the full hierarchy from one solver run.
 
     The solver's embedding width is forced to 2**max_level (the largest
-    possible leaf count). Levels 1 and 2 split unconditionally; levels
-    p >= 2 apply the try_split acceptance rule. Solver non-convergence is
-    recorded on the tree rather than raised.
+    possible leaf count). Each level calls try_split on every node of the
+    level above that has at least two samples, starting from a level-0 node
+    (not stored) that holds every sample; a node that does not split becomes
+    a leaf. If the root does not split, the tree is one level-1 leaf holding
+    every sample. Solver non-convergence is recorded on the tree rather
+    than raised.
     """
     n = x.n_samples
     if n < 4:
@@ -213,45 +194,31 @@ def hcs_lrr(
     w = build_affinity(threshold_coefficients(result.z, scfg.coeff_threshold))
 
     rng = np.random.default_rng(seed)
-    next_seed = lambda: int(rng.integers(0, 2**63 - 1))
     nodes: list[SubspaceNode] = []
-
-    def fitted(indices: np.ndarray):
-        return (indices, *estimate_subspace(x.data[:, indices], hier_config.gamma))
-
-    def new_node(level, indices, basis, dim, divisible=True) -> SubspaceNode:
-        nodes.append(
-            SubspaceNode(len(nodes), level, np.sort(indices), basis, dim, divisible)
-        )
-        return nodes[-1]
-
-    # Level 1: unconditional bisection of the whole sample set.
-    root_sides = _bisect(np.arange(n), w, next_seed())
-    if root_sides is None:
-        new_node(1, *fitted(np.arange(n)), divisible=False)
-        return HierarchyTree(nodes, p_max, n, result.converged, result.iterations)
-    level_nodes = [new_node(1, *fitted(idx)) for idx in root_sides]
-
-    # Level 2 bisects unconditionally; deeper levels apply the gain test.
-    for level in range(2, p_max + 1):
+    root = SubspaceNode(-1, 0, np.arange(n), np.zeros((x.m, 0)), 0, True)
+    level_nodes = [root]
+    for level in range(1, p_max + 1):
         next_level = []
         for node in level_nodes:
-            if not node.divisible or node.size < 2:
+            outcome = None
+            if node.size >= 2:
+                node_seed = int(rng.integers(0, 2**63 - 1))
+                outcome = try_split(node, x, w, hier_config, node_seed)
+            if outcome is None:
                 node.divisible = False
                 continue
-            if level == 2:
-                sides = _bisect(node.indices, w, next_seed())
-                outcome = sides and [fitted(idx) for idx in sides]
-            else:
-                outcome = try_split(node, x, w, hier_config, next_seed())
-            if not outcome:
-                node.divisible = False
-                continue
-            kids = [new_node(level, *child) for child in outcome]
+            kids = [
+                SubspaceNode(len(nodes) + pos, level, np.sort(idx), basis, dim, True)
+                for pos, (idx, basis, dim) in enumerate(outcome)
+            ]
+            nodes.extend(kids)
             node.children = (kids[0].node_id, kids[1].node_id)
             next_level.extend(kids)
         level_nodes = next_level
 
+    if root.children is None:
+        basis, dim = estimate_subspace(x.data[:, root.indices], hier_config.gamma)
+        nodes.append(SubspaceNode(0, 1, root.indices, basis, dim, False))
     return HierarchyTree(nodes, p_max, n, result.converged, result.iterations)
 
 

@@ -395,20 +395,6 @@ def gaussian_kernel(distances, nu: float) -> np.ndarray:
     return np.exp(-(distances**2) / check_bandwidth(nu))
 
 
-def gaussian_dtw_kernel(
-    assignments: list[np.ndarray], leaves: LeafSet, nu: float
-) -> np.ndarray:
-    """Gaussian kernel exp(-d^2/nu^2) over warping distances; unit diagonal.
-
-    The kernel is symmetric and positive entrywise but not guaranteed
-    positive semidefinite; downstream solvers must tolerate indefiniteness.
-    """
-    d = dtw_distance_matrix(assignments, None, leaves)
-    k = gaussian_kernel(d, nu)
-    np.fill_diagonal(k, 1.0)
-    return (k + k.T) / 2.0
-
-
 def median_bandwidth(distances: np.ndarray) -> float:
     """Median of the off-diagonal distances; a standard kernel-width heuristic."""
     n = distances.shape[0]

@@ -23,7 +23,7 @@ representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
@@ -273,7 +273,6 @@ def cslrr_solve(
     x: FeatureMatrix,
     config: SolverConfig,
     callback: Callable[[SolverState], None] | None = None,
-    log_stream: TextIO | None = None,
 ) -> SolveResult:
     """Run the alternating scheme until both constraint residuals fall below epsilon.
 
@@ -284,8 +283,7 @@ def cslrr_solve(
     non-converged). The F update runs only when beta > 0: at beta = 0,
     Theta keeps its zero start and beta*Theta is the same +0 an update
     would leave, so skipping it changes no iterate. `callback` is invoked
-    with the state after each completed iteration; `log_stream` receives
-    one residual line per iteration.
+    with the state after each completed iteration.
     """
     if x.n_samples < config.l_max:
         raise DimensionError(
@@ -323,8 +321,6 @@ def cslrr_solve(
         r2 = float(np.abs(r2_mat).max())
         state.residuals.append((r1, r2))
         state.t += 1
-        if log_stream is not None:
-            print(f"iter={state.t} r1={r1:.6e} r2={r2:.6e} mu={state.mu:.6e}", file=log_stream)
         if callback is not None:
             callback(state)
         if r1 <= config.epsilon and r2 <= config.epsilon:

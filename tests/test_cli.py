@@ -5,7 +5,8 @@ import pytest
 
 from uoslearn import cli, hierarchy, sequences, svm
 from uoslearn.cli import cli_main
-from uoslearn.datasets import write_feature_bin, write_feature_csv, write_labels
+from conftest import write_feature_csv
+from uoslearn.datasets import write_feature_bin, write_labels
 from uoslearn.synth import UosSynthConfig, generate_synthetic_uos
 
 
@@ -710,22 +711,32 @@ class TestChecksBeforeWork:
             ("classify", "--save-model", "missing-dir"),
             ("cluster", "--out", "directory"),
             ("synth", "--out", "under-file"),
+            ("synth-sequences", "--out", "train-is-file"),
         ],
         ids=["cluster-out", "cluster-emit-csv", "hierarchy-out", "hierarchy-summary",
-             "classify-save-model", "cluster-out-directory", "synth-out-under-file"],
+             "classify-save-model", "cluster-out-directory", "synth-out-under-file",
+             "synth-sequences-train-is-file"],
     )
     def test_unwritable_output_exits_2_naming_the_path(
         self, tmp_path, uos_dataset, seq_dataset, capsys, command, flag, where
     ):
         (tmp_path / "file").write_text("")
+        (tmp_path / "seq").mkdir()
+        (tmp_path / "seq" / "train").write_text("")
         target = {
             "missing-dir": tmp_path / "missing" / "out",
             "directory": tmp_path,
             "under-file": tmp_path / "file" / "out",
+            "train-is-file": tmp_path / "seq",
         }[where]
+        # The path the error must name: the unwritable output itself.
+        named = target / "train" if where == "train-is-file" else target
         argv = {
             "synth": ["synth", "--set", "kind=uos", "--set", "m=6", "--set", "subspaces=2",
                       "--set", "dim=2", "--set", "points=5"],
+            "synth-sequences": ["synth", "--set", "kind=sequences", "--set", "m=6",
+                                "--set", "leaves=3", "--set", "leaf_dim=2", "--set", "classes=2",
+                                "--set", "train_per_class=3", "--set", "test_per_class=1"],
             "cluster": ["cluster", "--clusters", "3", "--set", "lambda=10"],
             "hierarchy": ["hierarchy", "--set", "levels=2", "--set", "method=sclrr"],
             "classify": ["classify", "--data", str(seq_dataset), "--classifier", "svm-ovo"],
@@ -735,7 +746,7 @@ class TestChecksBeforeWork:
         code, records, err = run_cli(capsys, *argv, flag, str(target))
         assert code == 2
         assert records == []
-        assert f"{target}: cannot write" in err
+        assert f"{named}: cannot write" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

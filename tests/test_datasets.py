@@ -14,7 +14,6 @@ from uoslearn.datasets import (
     save_sequence_dataset,
     write_boundaries,
     write_feature_bin,
-    write_feature_csv,
     write_labels,
 )
 from uoslearn.errors import ConfigError, DataError

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_orthonormal, unit_columns
+from conftest import random_orthonormal, relative_error, unit_columns
+from uoslearn import hierarchy
 from uoslearn.errors import ConfigError, DataError, DimensionError
 from uoslearn.hierarchy import (
     HierarchyConfig,
@@ -10,7 +11,6 @@ from uoslearn.hierarchy import (
     hcs_lrr,
     mean_relative_error,
     read_tree,
-    relative_error,
     tree_summary,
     try_split,
     write_tree,
@@ -169,13 +169,13 @@ class TestTrySplit:
         np.fill_diagonal(w, 0.0)
         cfg = HierarchyConfig(max_level=3, gamma=0.98, split_gain=1.0, min_dim=1)
         assert try_split(node, fm, w, cfg, seed=1) is None
-        assert not node.divisible
+        assert node.divisible  # marking a leaf is left to hcs_lrr
 
     def test_min_dim_cap_forces_leaf(self, rng):
         node, fm, w = two_subspace_node(rng)
         cfg = HierarchyConfig(max_level=3, gamma=0.98, split_gain=0.01, min_dim=100)
         assert try_split(node, fm, w, cfg, seed=0) is None
-        assert not node.divisible
+        assert node.divisible  # marking a leaf is left to hcs_lrr
 
     def test_requires_divisible_node(self, rng):
         node, fm, w = two_subspace_node(rng)
@@ -203,10 +203,17 @@ class TestHcsLrr:
         fm, _ = shared_direction_data(50, 4, 10, seed=5)
         hcfg = HierarchyConfig(max_level=3, gamma=0.98, split_gain=0.01, min_dim=1)
         tree = hcs_lrr(fm, hier_solver_config(), hcfg, seed=2)
-        for level in range(1, hcfg.max_level + 1):
-            nodes = tree.partition_at(level)
-            joined = np.sort(np.concatenate([n.indices for n in nodes]))
-            assert np.array_equal(joined, np.arange(fm.n_samples))
+        # Level 1 partitions the samples and every split partitions its node,
+        # so each level's active clusters partition the samples too.
+        level_one = [n for n in tree.nodes if n.level == 1]
+        joined = np.sort(np.concatenate([n.indices for n in level_one]))
+        assert np.array_equal(joined, np.arange(fm.n_samples))
+        for node in tree.nodes:
+            if node.children is not None:
+                kids = [tree.nodes[c] for c in node.children]
+                assert all(kid.level == node.level + 1 for kid in kids)
+                joined = np.sort(np.concatenate([kid.indices for kid in kids]))
+                assert np.array_equal(joined, node.indices)
         assert len(tree.leaves()) <= 2**hcfg.max_level
 
     def test_deterministic_per_seed(self):
@@ -239,6 +246,41 @@ class TestHcsLrr:
         for node in tree.nodes:
             if not node.divisible:
                 assert node.children is None
+
+    def test_rejected_splits_become_leaves(self, monkeypatch):
+        verdicts = []
+
+        def recording_try_split(node, *args):
+            outcome = try_split(node, *args)
+            verdicts.append((node, outcome))
+            return outcome
+
+        monkeypatch.setattr(hierarchy, "try_split", recording_try_split)
+        fm, _ = shared_direction_data(50, 4, 10, seed=9)
+        hcfg = HierarchyConfig(max_level=3, gamma=0.98, split_gain=0.01, min_dim=1)
+        tree = hcs_lrr(fm, hier_solver_config(), hcfg, seed=4)
+        rejected = [node for node, outcome in verdicts if outcome is None]
+        accepted = [node for node, outcome in verdicts if outcome is not None]
+        assert rejected and any(node.level == 2 for node in accepted)
+        for node in rejected:
+            assert not node.divisible
+            assert node.children is None
+        for node in accepted:
+            assert node.divisible
+            assert node.children is not None
+
+    def test_failed_root_split_leaves_one_leaf(self, monkeypatch):
+        monkeypatch.setattr(hierarchy, "_bisect", lambda indices, w, seed: None)
+        fm, _ = shared_direction_data(50, 4, 8, seed=3)
+        hcfg = HierarchyConfig(max_level=3, gamma=0.98)
+        tree = hcs_lrr(fm, hier_solver_config(), hcfg, seed=0)
+        (leaf,) = tree.nodes
+        basis, dim = estimate_subspace(fm.data, hcfg.gamma)
+        assert (leaf.node_id, leaf.level, leaf.divisible, leaf.children) == (0, 1, False, None)
+        assert np.array_equal(leaf.indices, np.arange(fm.n_samples))
+        assert leaf.dim == dim
+        assert np.array_equal(leaf.basis, basis)
+        assert tree.leaves() == [leaf]
 
     def test_too_few_samples(self):
         fm = FeatureMatrix(np.eye(3))

@@ -16,8 +16,9 @@ from uoslearn.sequences import (
     align_features_dtw,
     assign_to_leaves,
     class_distance_ceilings,
+    dtw_distance_matrix,
     dtw_grassmann,
-    gaussian_dtw_kernel,
+    gaussian_kernel,
     knn_classify,
     median_bandwidth,
     open_set_knn,
@@ -550,7 +551,7 @@ class TestGaussianKernel:
     def test_unit_diagonal_symmetric(self, rng):
         samples, leaves = make_sequence_dataset(seed=6)
         assigns = [s.assignment for s in samples[:10]]
-        k = gaussian_dtw_kernel(assigns, leaves, nu=1.0)
+        k = gaussian_kernel(dtw_distance_matrix(assigns, None, leaves), nu=1.0)
         assert np.array_equal(k, k.T)
         assert np.all(np.diag(k) == 1.0)
         assert k.min() > 0 and k.max() <= 1.0
@@ -558,14 +559,15 @@ class TestGaussianKernel:
     def test_large_nu_saturates(self, rng):
         samples, leaves = make_sequence_dataset(seed=6)
         assigns = [s.assignment for s in samples[:6]]
-        k = gaussian_dtw_kernel(assigns, leaves, nu=1e8)
+        k = gaussian_kernel(dtw_distance_matrix(assigns, None, leaves), nu=1e8)
         assert np.allclose(k, 1.0)
 
     @pytest.mark.filterwarnings("error")
     def test_huge_nu_gives_unit_kernel(self):
         # nu**2 overflows a Python float; the kernel must saturate, not raise or warn.
         samples, leaves = make_sequence_dataset(seed=6)
-        k = gaussian_dtw_kernel([s.assignment for s in samples[:4]], leaves, nu=1e200)
+        assigns = [s.assignment for s in samples[:4]]
+        k = gaussian_kernel(dtw_distance_matrix(assigns, None, leaves), nu=1e200)
         assert np.array_equal(k, np.ones((4, 4)))
 
     def test_median_bandwidth_positive(self, rng):
@@ -577,7 +579,7 @@ class TestGaussianKernel:
     def test_nu_must_be_positive(self, rng):
         samples, leaves = make_sequence_dataset(seed=6)
         with pytest.raises(ConfigError):
-            gaussian_dtw_kernel([samples[0].assignment], leaves, nu=0.0)
+            gaussian_kernel(dtw_distance_matrix([samples[0].assignment], None, leaves), nu=0.0)
 
 
 class TestValidation:

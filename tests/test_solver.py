@@ -369,18 +369,6 @@ class TestSolve:
         assert all(b >= a for a, b in zip(mus, mus[1:]))
         assert max(mus) <= 0.3
 
-    def test_residual_log_lines(self, rng, capsys):
-        import io
-
-        x = FeatureMatrix(unit_columns(rng.standard_normal((5, 8))))
-        cfg = small_config(l_max=2, max_iters=3, epsilon=1e-16)
-        stream = io.StringIO()
-        cslrr_solve(x, cfg, log_stream=stream)
-        lines = stream.getvalue().strip().splitlines()
-        assert len(lines) == 3
-        assert lines[0].startswith("iter=1 r1=")
-        assert " mu=" in lines[0]
-
     def test_blockwise_solve_converges(self, rng):
         data = unit_columns(rng.standard_normal((12, 10)))
         x = FeatureMatrix(data, block_shape=(4, 3))

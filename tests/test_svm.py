@@ -9,7 +9,6 @@ from uoslearn.sequences import (
     LeafSet,
     assign_to_leaves,
     dtw_distance_matrix,
-    gaussian_dtw_kernel,
     gaussian_kernel,
 )
 from uoslearn.svm import (

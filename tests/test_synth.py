@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import relative_error
 from uoslearn.errors import ConfigError
-from uoslearn.hierarchy import relative_error
 from uoslearn.sequences import assign_to_leaves
 from uoslearn.synth import (
     SequenceSynthConfig,
