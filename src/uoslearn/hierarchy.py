@@ -61,7 +61,7 @@ class SubspaceNode:
     indices: np.ndarray  # sorted sample indices
     basis: np.ndarray  # m x dim, orthonormal columns
     dim: int
-    divisible: bool
+    divisible: bool  # >= 2 samples and no rejected split
     children: tuple[int, int] | None = None
 
     @property
@@ -178,10 +178,11 @@ def hcs_lrr(
     """Build the full hierarchy from one solver run.
 
     The solver's embedding width is forced to 2**max_level (the largest
-    possible leaf count). Each level calls try_split on every node of the
-    level above that has at least two samples, starting from a level-0 node
-    (not stored) that holds every sample; a node that does not split becomes
-    a leaf. If the root does not split, the tree is one level-1 leaf holding
+    possible leaf count). Each level calls try_split on every divisible
+    node of the level above, starting from a level-0 node (not stored) that
+    holds every sample; a node is created divisible when it holds at least
+    two samples, and one that does not split becomes a non-divisible leaf.
+    If the root does not split, the tree is one level-1 leaf holding
     every sample. Solver non-convergence is recorded on the tree rather
     than raised.
     """
@@ -201,14 +202,14 @@ def hcs_lrr(
         next_level = []
         for node in level_nodes:
             outcome = None
-            if node.size >= 2:
+            if node.divisible:
                 node_seed = int(rng.integers(0, 2**63 - 1))
                 outcome = try_split(node, x, w, hier_config, node_seed)
             if outcome is None:
                 node.divisible = False
                 continue
             kids = [
-                SubspaceNode(len(nodes) + pos, level, np.sort(idx), basis, dim, True)
+                SubspaceNode(len(nodes) + pos, level, np.sort(idx), basis, dim, len(idx) >= 2)
                 for pos, (idx, basis, dim) in enumerate(outcome)
             ]
             nodes.extend(kids)

@@ -6,6 +6,8 @@ NaN/Inf entries are rejected.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .errors import DataError, DimensionError
@@ -31,7 +33,7 @@ def spectral_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def svt(a, tau: float) -> np.ndarray:
+def svt(a, tau: float, alongside: Callable[[], None] | None = None) -> np.ndarray:
     """Singular value thresholding: the proximal operator of tau * nuclear norm.
 
     Returns the unique minimizer of  tau*||Z||_* + 0.5*||Z - a||_F^2,
@@ -42,16 +44,30 @@ def svt(a, tau: float) -> np.ndarray:
     (1 - tau/sigma_j) (a v_j) v_j^T. The Gram matrix is formed from `a`
     scaled by a power of two near 1/max|a|, which is exact, so entries
     near 1e+-200 neither overflow nor underflow when squared.
+
+    `alongside`, if given, is called once on the calling thread while a
+    one-worker thread pool decomposes the Gram matrix. The worker has
+    finished before svt returns or re-raises an exception from either.
     """
     a = as_matrix(a)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     if a.shape[1] > a.shape[0]:
-        return svt(a.T, tau).T
+        return svt(a.T, tau, alongside).T
     _, exp = np.frexp(np.abs(a).max())
     scaled = np.ldexp(a, -exp)
     tau_scaled = np.ldexp(tau, -exp)
-    lam, v = np.linalg.eigh(scaled.T @ scaled)
+    gram = scaled.T @ scaled
+    if alongside is None:
+        lam, v = np.linalg.eigh(gram)
+    else:
+        # Imported here: only the beta > 0 solve overlaps work with the eigh.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            decomposition = pool.submit(np.linalg.eigh, gram)
+            alongside()
+        lam, v = decomposition.result()
     sigma = np.sqrt(np.maximum(lam, 0.0))
     keep = sigma > tau_scaled
     if not np.any(keep):

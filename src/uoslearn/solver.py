@@ -203,12 +203,22 @@ def init_state(x: FeatureMatrix, config: SolverConfig) -> SolverState:
     )
 
 
-def update_z(state: SolverState, x: FeatureMatrix, config: SolverConfig) -> np.ndarray:
-    """Linearized nuclear-norm step: SVT of Z - grad/(eta*mu) at level 1/(eta*mu)."""
+def update_z(
+    state: SolverState,
+    x: FeatureMatrix,
+    config: SolverConfig,
+    alongside: Callable[[], None] | None = None,
+) -> np.ndarray:
+    """Linearized nuclear-norm step: SVT of Z - grad/(eta*mu) at level 1/(eta*mu).
+
+    `alongside` is passed to svt, which runs it during its decomposition.
+    """
     data = x.data
     grad_over_mu = data.T @ (data @ state.z - data + state.e - state.g1 / state.mu)
     grad_over_mu += state.z - state.q + state.g2 / state.mu
-    return svt(state.z - grad_over_mu / state.eta, 1.0 / (state.eta * state.mu))
+    return svt(
+        state.z - grad_over_mu / state.eta, 1.0 / (state.eta * state.mu), alongside
+    )
 
 
 def update_q(
@@ -284,6 +294,15 @@ def cslrr_solve(
     Theta keeps its zero start and beta*Theta is the same +0 an update
     would leave, so skipping it changes no iterate. `callback` is invoked
     with the state after each completed iteration.
+
+    Iteration t's F update is first read by the Q update of iteration t+1,
+    so at beta > 0 it runs during iteration t+1's Z update, while a second
+    thread decomposes the SVT's Gram matrix (`svt`'s `alongside`); the last
+    iteration's F update runs after the loop. Every iterate is the same as
+    in sequential order, but the state passed to `callback` after
+    iteration t holds the Theta of iteration t-1. An exception from the F
+    update or from the decomposition propagates after the second thread
+    has finished.
     """
     if x.n_samples < config.l_max:
         raise DimensionError(
@@ -298,12 +317,17 @@ def cslrr_solve(
         else np.zeros((x.n_samples, x.n_samples))
     )
     state = init_state(x, config)
+
+    def f_step():
+        _, state.theta = update_f(state, config)
+
     converged = False
+    pending = None  # the F update that the next Z update runs alongside
     for _ in range(config.max_iters):
-        state.z = update_z(state, x, config)
+        state.z = update_z(state, x, config, alongside=pending)
         state.q, state.v = update_q(state, weights, config)
         if config.beta > 0:
-            _, state.theta = update_f(state, config)
+            pending = f_step
         state.e = update_e(state, x, config)
 
         r1_mat = x.data - x.data @ state.z - state.e
@@ -326,6 +350,8 @@ def cslrr_solve(
         if r1 <= config.epsilon and r2 <= config.epsilon:
             converged = True
             break
+    if pending is not None:
+        pending()
 
     history = np.array(state.residuals) if state.residuals else np.zeros((0, 2))
     return SolveResult(

@@ -17,6 +17,7 @@ from uoslearn.hierarchy import (
 )
 from uoslearn.metrics import clustering_accuracy
 from uoslearn.solver import FeatureMatrix, SolverConfig
+from uoslearn.synth import UosSynthConfig, generate_synthetic_uos
 
 
 def shared_direction_data(m, d, n_per, seed, shared_scale=0.35):
@@ -268,6 +269,20 @@ class TestHcsLrr:
         for node in accepted:
             assert node.divisible
             assert node.children is not None
+
+    def test_one_sample_nodes_are_not_divisible(self):
+        # The 10-point input of `synth --seed 1 --set m=6 --set subspaces=2
+        # --set dim=2 --set points=5`, split as `hierarchy --set levels=3
+        # --set method=sclrr --set lambda=10`: two 1-sample nodes at level 3.
+        fm, _ = generate_synthetic_uos(
+            UosSynthConfig(m=6, subspaces=2, dim=2, points_per_subspace=5, seed=1)
+        )
+        scfg = SolverConfig(l_max=8, alpha=1.0, beta=0.0, lam=10.0)
+        tree = hcs_lrr(fm, scfg, HierarchyConfig(max_level=3), seed=0)
+        summary = tree_summary(tree).splitlines()
+        assert "node=3 level=2 size=1 dim=1 divisible=0 children=-" in summary
+        assert "node=6 level=3 size=1 dim=1 divisible=0 children=-" in summary
+        assert "node=7 level=3 size=1 dim=1 divisible=0 children=-" in summary
 
     def test_failed_root_split_leaves_one_leaf(self, monkeypatch):
         monkeypatch.setattr(hierarchy, "_bisect", lambda indices, w, seed: None)

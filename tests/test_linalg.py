@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,46 @@ class TestSvt:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.1)
+
+
+class TestSvtAlongside:
+    """`svt(a, tau, alongside=f)` runs f on the calling thread while a worker
+    thread decomposes the Gram matrix, and leaves no thread behind."""
+
+    @pytest.mark.parametrize("shape", [(40, 30), (30, 40)], ids=["tall", "wide"])
+    def test_bit_identical_and_called_once_on_calling_thread(self, rng, shape):
+        a = rng.standard_normal(shape)
+        tau = float(np.median(np.linalg.svd(a, compute_uv=False)))
+        threads = []
+        out = svt(a, tau, alongside=lambda: threads.append(threading.get_ident()))
+        assert np.array_equal(out, svt(a, tau))
+        assert threads == [threading.get_ident()]
+
+    def test_exception_from_alongside_reraised_without_leftover_thread(self, rng):
+        a = rng.standard_normal((20, 15))
+        threads = threading.active_count()
+        svt(a, 0.5, alongside=lambda: None)
+        assert threading.active_count() == threads
+
+        def fail():
+            raise ArithmeticError("from alongside")
+
+        with pytest.raises(ArithmeticError, match="from alongside"):
+            svt(a, 0.5, alongside=fail)
+        assert threading.active_count() == threads
+
+    def test_exception_from_decomposition_reraised_after_alongside(
+        self, rng, monkeypatch
+    ):
+        def fail(m):
+            raise np.linalg.LinAlgError("from eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        threads, calls = threading.active_count(), []
+        with pytest.raises(np.linalg.LinAlgError, match="from eigh"):
+            svt(rng.standard_normal((20, 15)), 0.5, alongside=lambda: calls.append(1))
+        assert calls == [1]
+        assert threading.active_count() == threads
 
 
 class TestElementwiseShrink:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -391,16 +393,21 @@ def _snapshot(trail):
 
 
 class TestEmbeddingStepSkippedAtBetaZero:
-    @pytest.mark.parametrize("alpha", [0.0, 1.0])
-    def test_iterates_bit_identical_to_always_updating_f(self, alpha):
+    # At beta > 0 the F update runs during the next Z update instead.
+    @pytest.mark.parametrize(
+        "alpha, beta", [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5)], ids=["lrr", "sclrr", "cslrr"]
+    )
+    def test_iterates_bit_identical_to_always_updating_f(self, alpha, beta):
         fm, _ = generate_synthetic_uos(
             UosSynthConfig(m=20, subspaces=3, dim=2, points_per_subspace=12, seed=3)
         )
         cfg = SolverConfig(
-            l_max=3, alpha=alpha, beta=0.0, lam=1.0, max_iters=60, epsilon=1e-16
+            l_max=3, alpha=alpha, beta=beta, lam=1.0, max_iters=60, epsilon=1e-16
         )
         seen, expected = [], []
+        threads = threading.active_count()
         res = cslrr_solve(fm, cfg, callback=_snapshot(seen))
+        assert threading.active_count() == threads
         ref = reference_solve(fm, cfg, callback=_snapshot(expected))
         assert res.iterations == ref.iterations == len(seen) == len(expected) == 60
         for got, want in zip(seen, expected):
@@ -504,8 +511,8 @@ class TestGramSvtAgainstSvd:
         x, _ = generate_synthetic_uos(ucfg)
         calls = []
 
-        def recording_svt(a, tau):
-            calls.append((np.array(a), tau, svt(a, tau)))
+        def recording_svt(a, tau, alongside=None):
+            calls.append((np.array(a), tau, svt(a, tau, alongside)))
             return calls[-1][2]
 
         monkeypatch.setattr(solver, "svt", recording_svt)
