@@ -22,6 +22,7 @@ representation.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -279,6 +280,20 @@ def update_e(state: SolverState, x: FeatureMatrix, config: SolverConfig) -> np.n
     return (blocks * scale[:, :, None]).reshape(x.n_samples, x.m).T
 
 
+def one_blas_thread() -> bool:
+    """Whether the environment pins OpenBLAS to one thread.
+
+    Reads the variables OpenBLAS reads when it loads, in its order: the
+    first holding a positive integer sets the thread count. With none
+    set, OpenBLAS runs a thread per core and this returns False.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) == 1
+    return False
+
+
 def cslrr_solve(
     x: FeatureMatrix,
     config: SolverConfig,
@@ -295,14 +310,16 @@ def cslrr_solve(
     would leave, so skipping it changes no iterate. `callback` is invoked
     with the state after each completed iteration.
 
-    Iteration t's F update is first read by the Q update of iteration t+1,
-    so at beta > 0 it runs during iteration t+1's Z update, while a second
-    thread decomposes the SVT's Gram matrix (`svt`'s `alongside`); the last
-    iteration's F update runs after the loop. Every iterate is the same as
-    in sequential order, but the state passed to `callback` after
-    iteration t holds the Theta of iteration t-1. An exception from the F
-    update or from the decomposition propagates after the second thread
-    has finished.
+    Iteration t's F update is first read by the Q update of iteration t+1.
+    So at beta > 0, when `one_blas_thread()` holds, it runs during
+    iteration t+1's Z update, while a second thread decomposes the SVT's
+    Gram matrix (`svt`'s `alongside`); the last iteration's F update runs
+    after the loop. Every iterate is the same as in sequential order, but
+    the state passed to `callback` after iteration t holds the Theta of
+    iteration t-1. An exception from the F update or from the
+    decomposition propagates after the second thread has finished. With
+    a multi-threaded BLAS the F update runs in sequence: numpy's and
+    SciPy's BLAS thread pools would then oversubscribe the cores.
     """
     if x.n_samples < config.l_max:
         raise DimensionError(
@@ -321,13 +338,16 @@ def cslrr_solve(
     def f_step():
         _, state.theta = update_f(state, config)
 
+    overlap = config.beta > 0 and one_blas_thread()
     converged = False
     pending = None  # the F update that the next Z update runs alongside
     for _ in range(config.max_iters):
         state.z = update_z(state, x, config, alongside=pending)
         state.q, state.v = update_q(state, weights, config)
-        if config.beta > 0:
+        if overlap:
             pending = f_step
+        elif config.beta > 0:
+            f_step()
         state.e = update_e(state, x, config)
 
         r1_mat = x.data - x.data @ state.z - state.e

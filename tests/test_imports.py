@@ -3,10 +3,10 @@
 `import uoslearn.cli` loads numpy and no SciPy subpackage. `scipy.linalg`
 loads with the first beta > 0 embedding step (cslrr clustering), and
 `scipy.spatial` and `scipy.optimize` never. Every other command,
-k-NN classification included, runs on numpy alone. `concurrent.futures`,
-which runs the beta > 0 solve's second thread, loads with that solve
-only. Each check runs in a fresh interpreter, since this test process
-has imported all of them long ago.
+k-NN classification included, runs on numpy alone, and none of them
+loads `concurrent.futures`, which only the beta > 0 solve uses. Each
+check runs in a fresh interpreter, since this test process has imported
+all of them long ago.
 """
 
 import json
@@ -128,30 +128,11 @@ def test_beta_zero_commands_run_without_scipy(stages, tmp_path):
         ("knn-model", [*classify, "--model", str(knn_bundle)]),
         ("eval", ["eval", "--pred", str(pred), "--truth", truth]),
     ]
-    free = run_fresh(numpy_only, modules=("scipy",))
+    free = run_fresh(numpy_only, modules=("scipy", "concurrent.futures"))
     blocked = run_fresh(numpy_only, block=True)
+    assert free["import"]["loaded"] == []
     for name, _ in numpy_only:
         assert free[name]["loaded"] == [], name
         assert blocked[name]["stdout"] == free[name]["stdout"], name
         assert free[name]["stdout"], name
 
-
-def test_only_the_beta_positive_solve_loads_concurrent_futures(stages, tmp_path):
-    (_, synth_uos), (_, synth_seq), (_, cluster), svm, knn = stages
-    uos = Path(synth_uos[synth_uos.index("--out") + 1])
-    pred = tmp_path / "pred.txt"
-    hierarchy = ["hierarchy", "--set", f"data={uos / 'features.bin'}", "--set", "levels=1",
-                 "--set", "method=sclrr", "--set", "lambda=10"]
-    loaded = loaded_after(
-        [("synth-uos", synth_uos), ("synth-seq", synth_seq),
-         ("sclrr", [*cluster, "--method", "sclrr", "--out", str(pred)]),
-         ("hierarchy", hierarchy), svm, knn,
-         ("eval", ["eval", "--pred", str(pred), "--truth", str(uos / "labels.txt")]),
-         ("cslrr", cluster)],
-        modules=("concurrent.futures",),
-    )
-    assert loaded.pop("cslrr") == ["concurrent.futures"]
-    assert loaded == dict.fromkeys(
-        ["import", "synth-uos", "synth-seq", "sclrr", "hierarchy", "svm-ovo", "knn", "eval"],
-        [],
-    )

@@ -393,11 +393,17 @@ def _snapshot(trail):
 
 
 class TestEmbeddingStepSkippedAtBetaZero:
-    # At beta > 0 the F update runs during the next Z update instead.
+    # At beta > 0 with one BLAS thread the F update runs during the next Z
+    # update instead; `overlap` stands in for what one_blas_thread observes.
     @pytest.mark.parametrize(
-        "alpha, beta", [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5)], ids=["lrr", "sclrr", "cslrr"]
+        "alpha, beta, overlap",
+        [(0.0, 0.0, True), (1.0, 0.0, True), (1.0, 0.5, False), (1.0, 0.5, True)],
+        ids=["lrr", "sclrr", "cslrr-sequential", "cslrr-overlap"],
     )
-    def test_iterates_bit_identical_to_always_updating_f(self, alpha, beta):
+    def test_iterates_bit_identical_to_always_updating_f(
+        self, monkeypatch, alpha, beta, overlap
+    ):
+        monkeypatch.setattr(solver, "one_blas_thread", lambda: overlap)
         fm, _ = generate_synthetic_uos(
             UosSynthConfig(m=20, subspaces=3, dim=2, points_per_subspace=12, seed=3)
         )
@@ -416,21 +422,60 @@ class TestEmbeddingStepSkippedAtBetaZero:
         assert np.array_equal(res.residual_history, ref.residual_history)
         assert np.array_equal(res.z, ref.z) and np.array_equal(res.e, ref.e)
 
+    @pytest.mark.parametrize("overlap", [False, True], ids=["sequential", "overlap"])
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_update_f_runs_once_per_iteration_only_when_beta_positive(
-        self, rng, monkeypatch, beta
+        self, rng, monkeypatch, beta, overlap
     ):
-        calls = []
+        calls, alongside = [], []
         update = solver.update_f
 
         def counted(state, config):
             calls.append(state.t)
             return update(state, config)
 
+        def recording_svt(a, tau, f=None):
+            alongside.append(f is not None)
+            return svt(a, tau, f)
+
         monkeypatch.setattr(solver, "update_f", counted)
+        monkeypatch.setattr(solver, "svt", recording_svt)
+        monkeypatch.setattr(solver, "one_blas_thread", lambda: overlap)
         x = FeatureMatrix(unit_columns(rng.standard_normal((6, 10))))
         res = cslrr_solve(x, small_config(l_max=3, beta=beta, max_iters=20))
         assert len(calls) == (res.iterations if beta > 0 else 0)
+        # Overlapped, iteration t's F update runs during iteration t+1's SVT.
+        assert alongside == [False] + [beta > 0 and overlap] * (res.iterations - 1)
+
+
+class TestOneBlasThread:
+    VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @pytest.mark.parametrize(
+        "env, expected",
+        [
+            ({}, False),
+            ({"OPENBLAS_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "2"}, False),
+            ({"GOTO_NUM_THREADS": "1"}, True),
+            ({"OMP_NUM_THREADS": "1"}, True),
+            ({"OMP_NUM_THREADS": "4"}, False),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+            ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "many"}, False),
+        ],
+        ids=["unset", "openblas-1", "openblas-2", "goto-1", "omp-1", "omp-4",
+             "openblas-first", "empty-skipped", "zero-skipped", "not-a-number"],
+    )
+    def test_reads_the_variables_openblas_reads_in_its_order(
+        self, monkeypatch, env, expected
+    ):
+        for var in self.VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert solver.one_blas_thread() is expected
 
 
 class TestThresholdAndAffinity:
