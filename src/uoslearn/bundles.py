@@ -20,6 +20,7 @@ from .errors import ConfigError, DataError
 from .sequences import (
     LeafSet,
     SequenceSample,
+    check_class_sizes,
     class_distance_ceilings,
     knn_classify,
     open_set_knn,
@@ -53,9 +54,9 @@ class KnnModel:
     ceilings: dict[int, float] | None = None
 
     def __post_init__(self):
-        # Checked before fit_ceilings or predict warps any sequence pair.
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
+        # Checked before fit_ceilings or predict warps any sequence pair; only
+        # fitting the ceilings leaves a class member out.
+        check_class_sizes(self.train, self.k, leave_one_out=self.open_set and self.ceilings is None)
         if self.open_set and not self.varsigma > 1:
             raise ConfigError("varsigma must be > 1")
 

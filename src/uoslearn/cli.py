@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import datasets
@@ -25,6 +26,7 @@ from .spectral import spectral_cluster
 from .svm import (
     MODE_ONE_VS_ALL,
     MODE_ONE_VS_ONE,
+    check_svm_params,
     open_set_svm,
     svm_predict_multiclass,
     svm_train_multiclass,
@@ -40,21 +42,31 @@ from .synth import (
 METHODS = ("lrr", "sclrr", "cslrr")
 CLASSIFIERS = ("knn", "svm-ovo", "svm-ova")
 
+# A config key is the name of the dataclass field it fills, except these.
+FIELD_KEYS = {"lam": "lambda", "points_per_subspace": "points"}
+# Defaults the CLI applies to the SolverConfig fields the library requires.
+SOLVER_DEFAULTS = {"alpha": "1.0", "beta": "0.5", "lambda": "1.0"}
+
+
+def config_keys(cls, *given: str) -> tuple[str, ...]:
+    """The config keys of dataclass `cls`: one per field not named in `given`."""
+    return tuple(FIELD_KEYS.get(f.name, f.name) for f in fields(cls) if f.name not in given)
+
+
 # The config keys each subcommand reads; any other key is a ConfigError.
 DATA_KEYS = ("data", "format", "labels", "boundaries", "block_rows", "block_bins")
-SOLVER_KEYS = (
-    "method", "alpha", "beta", "lambda", "rho", "mu0", "mu_max", "epsilon",
-    "eta_factor", "max_iters", "error_mode", "coeff_threshold",
-)
+SOLVER_KEYS = ("method", *config_keys(SolverConfig, "l_max"))
 SYNTH_KEYS = {
-    "uos": ("m", "subspaces", "dim", "points", "noise", "geometry"),
+    "uos": config_keys(UosSynthConfig, "seed"),
     "sequences": (
-        "m", "leaves", "leaf_dim", "classes", "train_per_class", "test_per_class",
-        "template_len", "frames_min", "frames_max", "jitter",
+        *config_keys(SequenceSynthConfig, "sequences_per_class", "seed"),
+        "train_per_class", "test_per_class",
     ),
 }
 CLUSTER_KEYS = ("seed", "clusters", *DATA_KEYS, *SOLVER_KEYS)
-HIERARCHY_KEYS = ("seed", "levels", "gamma", "split_gain", "min_dim", *DATA_KEYS, *SOLVER_KEYS)
+HIERARCHY_KEYS = (
+    "seed", "levels", *config_keys(HierarchyConfig, "max_level"), *DATA_KEYS, *SOLVER_KEYS,
+)
 # The classifier keys; a saved bundle fixes them, so `classify --model` rejects them.
 MODEL_KEYS = ("classifier", "open", "k", "varsigma", "nu", "c")
 CLASSIFY_KEYS = ("data", *MODEL_KEYS)
@@ -152,6 +164,23 @@ def cfg_bool(cfg, key, default=False) -> bool:
     raise ConfigError(f"config key {key} must be a boolean, got {raw!r}")
 
 
+def config_values(cls, cfg: dict[str, str], **given) -> dict:
+    """Keyword arguments for dataclass `cls`: `given`, then each other field's config
+    value parsed by its annotation, else the field's default, else a missing-key error."""
+    # Annotations are strings, since the config modules use `from __future__ import annotations`.
+    parsers = {"int": cfg_int, "float": cfg_float, "str": need}
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        key = FIELD_KEYS.get(f.name, f.name)
+        if key in cfg or f.default is MISSING:
+            values[f.name] = parsers[f.type](cfg, key)
+        else:
+            values[f.name] = f.default
+    return values
+
+
 def seed_from(args, cfg) -> int:
     """The --seed flag, else the config's seed, else 0; numpy seeds are nonnegative."""
     seed = args.seed if args.seed is not None else cfg_int(cfg, "seed", 0)
@@ -179,38 +208,35 @@ def manifest_from_config(cfg: dict[str, str], base: Path) -> datasets.DatasetMan
 
 
 def solver_config_from(cfg: dict[str, str], method: str, l_max: int) -> SolverConfig:
-    alpha = cfg_float(cfg, "alpha", 1.0)
-    beta = cfg_float(cfg, "beta", 0.5)
+    """Parse every solver key, then zero the weights `method` does not use."""
+    values = config_values(SolverConfig, {**SOLVER_DEFAULTS, **cfg}, l_max=l_max)
     if method == "lrr":
-        alpha, beta = 0.0, 0.0
+        values.update(alpha=0.0, beta=0.0)
     elif method == "sclrr":
-        beta = 0.0
+        values["beta"] = 0.0
     elif method != "cslrr":
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
-    return SolverConfig(
-        l_max=l_max,
-        alpha=alpha,
-        beta=beta,
-        lam=cfg_float(cfg, "lambda", 1.0),
-        rho=cfg_float(cfg, "rho", 1.1),
-        mu0=cfg_float(cfg, "mu0", 0.1),
-        mu_max=cfg_float(cfg, "mu_max", 1e30),
-        epsilon=cfg_float(cfg, "epsilon", 1e-7),
-        eta_factor=cfg_float(cfg, "eta_factor", 1.02),
-        max_iters=cfg_int(cfg, "max_iters", 500),
-        error_mode=cfg.get("error_mode", "columnwise"),
-        coeff_threshold=cfg_float(cfg, "coeff_threshold", 0.05),
-    )
+    return SolverConfig(**values)
 
 
-def load_truth(manifest: datasets.DatasetManifest, n_samples: int):
-    """The manifest's labels, checked against N before any solve; None without labels."""
-    if manifest.labels is None:
-        return None
-    truth = datasets.load_labels(manifest.labels)
-    if len(truth) != n_samples:
-        raise DataError(f"{manifest.labels}: {len(truth)} labels for N={n_samples} samples")
-    return truth
+def load_features(args, keys, command: str):
+    """Config, feature matrix and (if configured) labels, checked against N before any
+    solve: the shared front half of `cluster` and `hierarchy`."""
+    cfg, base = load_config(args)
+    check_keys(cfg, keys, command)
+    manifest = manifest_from_config(cfg, base)
+    fm = datasets.load_feature_matrix(manifest)
+    truth = None
+    if manifest.labels is not None:
+        truth = datasets.load_labels(manifest.labels)
+        if len(truth) != fm.n_samples:
+            raise DataError(f"{manifest.labels}: {len(truth)} labels for N={fm.n_samples} samples")
+    return cfg, fm, truth
+
+
+def emit_accuracy(task: str, pred, truth) -> None:
+    if truth is not None:
+        emit({"record": "accuracy", "task": task, "value": clustering_accuracy(pred, truth)})
 
 
 def _write_residual_csv(path, history) -> None:
@@ -236,15 +262,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out) if args.out else _resolve(base, need(cfg, "out"))
     seed = seed_from(args, cfg)
     if kind == "uos":
-        ucfg = UosSynthConfig(
-            m=cfg_int(cfg, "m"),
-            subspaces=cfg_int(cfg, "subspaces"),
-            dim=cfg_int(cfg, "dim"),
-            points_per_subspace=cfg_int(cfg, "points"),
-            noise=cfg_float(cfg, "noise", 0.0),
-            geometry=cfg.get("geometry", "independent"),
-            seed=seed,
-        )
+        ucfg = UosSynthConfig(**config_values(UosSynthConfig, cfg, seed=seed))
         fm, labels = generate_synthetic_uos(ucfg)
         make_dir(out)
         datasets.write_feature_bin(out / "features.bin", fm.data)
@@ -264,16 +282,7 @@ def cmd_synth(args) -> int:
     train_pc = cfg_int(cfg, "train_per_class")
     test_pc = cfg_int(cfg, "test_per_class")
     scfg = SequenceSynthConfig(
-        m=cfg_int(cfg, "m"),
-        leaves=cfg_int(cfg, "leaves"),
-        leaf_dim=cfg_int(cfg, "leaf_dim"),
-        classes=cfg_int(cfg, "classes"),
-        sequences_per_class=train_pc + test_pc,
-        template_len=cfg_int(cfg, "template_len", 4),
-        frames_min=cfg_int(cfg, "frames_min", 2),
-        frames_max=cfg_int(cfg, "frames_max", 4),
-        jitter=cfg_float(cfg, "jitter", 0.0),
-        seed=seed,
+        **config_values(SequenceSynthConfig, cfg, sequences_per_class=train_pc + test_pc, seed=seed)
     )
     samples, leaves = generate_synthetic_sequences(scfg)
     train, test = split_by_class(samples, train_pc)
@@ -297,11 +306,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    cfg, base = load_config(args)
-    check_keys(cfg, CLUSTER_KEYS, "cluster")
-    manifest = manifest_from_config(cfg, base)
-    fm = datasets.load_feature_matrix(manifest)
-    truth = load_truth(manifest, fm.n_samples)
+    cfg, fm, truth = load_features(args, CLUSTER_KEYS, "cluster")
     method = args.method or cfg.get("method", "cslrr")
     if args.alpha is not None:
         cfg["alpha"] = str(args.alpha)
@@ -335,23 +340,12 @@ def cmd_cluster(args) -> int:
             "labels": labels.tolist(),
         }
     )
-    if truth is not None:
-        emit(
-            {
-                "record": "accuracy",
-                "task": "cluster",
-                "value": clustering_accuracy(labels, truth),
-            }
-        )
+    emit_accuracy("cluster", labels, truth)
     return 0
 
 
 def cmd_hierarchy(args) -> int:
-    cfg, base = load_config(args)
-    check_keys(cfg, HIERARCHY_KEYS, "hierarchy")
-    manifest = manifest_from_config(cfg, base)
-    fm = datasets.load_feature_matrix(manifest)
-    truth = load_truth(manifest, fm.n_samples)
+    cfg, fm, truth = load_features(args, HIERARCHY_KEYS, "hierarchy")
     seed = seed_from(args, cfg)
     levels = cfg_int(cfg, "levels")
     if levels < 1:
@@ -363,12 +357,7 @@ def cmd_hierarchy(args) -> int:
             f"2**levels must not exceed N, so levels <= {fm.n_samples.bit_length() - 1}"
         )
     scfg = solver_config_from(cfg, cfg.get("method", "cslrr"), l_max=2**levels)
-    hcfg = HierarchyConfig(
-        max_level=levels,
-        gamma=cfg_float(cfg, "gamma", 0.98),
-        split_gain=cfg_float(cfg, "split_gain", 0.01),
-        min_dim=cfg_int(cfg, "min_dim", 1),
-    )
+    hcfg = HierarchyConfig(**config_values(HierarchyConfig, cfg, max_level=levels))
     tree = hcs_lrr(fm, scfg, hcfg, seed)
     if not tree.solver_converged:
         diag("solver did not converge; tree built from the last iterate")
@@ -391,23 +380,15 @@ def cmd_hierarchy(args) -> int:
             "labels": labels.tolist(),
         }
     )
-    if truth is not None:
-        emit(
-            {
-                "record": "accuracy",
-                "task": "hierarchy",
-                "value": clustering_accuracy(labels, truth),
-            }
-        )
+    emit_accuracy("hierarchy", labels, truth)
     return 0
 
 
-def _load_leaves_for_classify(args, cfg, base) -> LeafSet:
+def _load_leaves_for_classify(args, data_dir: Path) -> LeafSet:
     if args.tree:
         return LeafSet.from_tree(read_tree(args.tree))
     if args.leaves:
         return datasets.load_leaves(args.leaves)
-    data_dir = Path(args.data) if args.data else _resolve(base, need(cfg, "data"))
     leaves_path = data_dir / "leaves.bin"
     if not leaves_path.exists():
         raise ConfigError(
@@ -440,7 +421,7 @@ def cmd_classify(args) -> int:
         else:
             known = set(model.classes)
     else:
-        leaves = _load_leaves_for_classify(args, cfg, base)
+        leaves = _load_leaves_for_classify(args, data_dir)
         train = datasets.load_sequence_dataset(data_dir / "train")
         classifier = args.classifier or cfg.get("classifier", "knn")
         if classifier not in CLASSIFIERS:
@@ -448,9 +429,7 @@ def cmd_classify(args) -> int:
                 f"unknown classifier {classifier!r}; expected one of {CLASSIFIERS}"
             )
         open_set = args.open or cfg_bool(cfg, "open", False)
-        for s in train + test:
-            s.assignment = assign_to_leaves(s, leaves)
-        known = {int(s.label) for s in train}
+        # Every config value is checked before the assignments, which warp each sequence.
         if classifier == "knn":
             model = KnnModel(
                 train=train,
@@ -458,20 +437,27 @@ def cmd_classify(args) -> int:
                 open_set=open_set,
                 varsigma=cfg_float(cfg, "varsigma", 1.2),
             )
-            model.fit_ceilings(leaves)
-            predictions = [model.predict(s, leaves) for s in test]
         else:
             mode = MODE_ONE_VS_ONE if classifier == "svm-ovo" else MODE_ONE_VS_ALL
             if open_set and mode != MODE_ONE_VS_ALL:
                 raise ConfigError("open-set SVM requires classifier svm-ova")
             nu = cfg_float(cfg, "nu") if "nu" in cfg else None
+            c = cfg_float(cfg, "c", 10.0)
+            check_svm_params(nu, c)
+        for s in train + test:
+            s.assignment = assign_to_leaves(s, leaves)
+        known = {int(s.label) for s in train}
+        if classifier == "knn":
+            model.fit_ceilings(leaves)
+            predictions = [model.predict(s, leaves) for s in test]
+        else:
             model = svm_train_multiclass(
                 [s.assignment for s in train],
                 [s.label for s in train],
                 leaves,
                 mode=mode,
                 nu=nu,
-                c=cfg_float(cfg, "c", 10.0),
+                c=c,
             )
             stalled = [str(key) for key, (m, _) in model.models.items() if not m.converged]
             if stalled:
@@ -520,15 +506,7 @@ def cmd_classify(args) -> int:
 def cmd_eval(args) -> int:
     cfg, _ = load_config(args)
     check_keys(cfg, (), "eval")
-    pred = datasets.load_labels(args.pred)
-    truth = datasets.load_labels(args.truth)
-    emit(
-        {
-            "record": "accuracy",
-            "task": "eval",
-            "value": clustering_accuracy(pred, truth),
-        }
-    )
+    emit_accuracy("eval", datasets.load_labels(args.pred), datasets.load_labels(args.truth))
     return 0
 
 

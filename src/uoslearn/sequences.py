@@ -269,7 +269,7 @@ def _feature_aligned_distance(leaves: LeafSet):
     return lambda a, b: sequence_distance(a, b, a.assignment, b.assignment, leaves)
 
 
-def _check_class_sizes(train: list[SequenceSample], k: int, leave_one_out: bool) -> None:
+def check_class_sizes(train: list[SequenceSample], k: int, leave_one_out: bool) -> None:
     """Reject k before any warp: each class needs k members, k + 1 to leave one out."""
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -291,7 +291,7 @@ def _test_class_distances(
     k: int,
 ) -> dict[int, float]:
     """Average distance from `test` to the k nearest members of each class."""
-    _check_class_sizes(train, k, leave_one_out=False)
+    check_class_sizes(train, k, leave_one_out=False)
     for s in [test, *train]:
         _ensure_assignment(s, leaves)
     row = _pair_matrix(_feature_aligned_distance(leaves), [test], train)[0]
@@ -327,7 +327,7 @@ def class_distance_ceilings(
     same-class neighbors (excluding itself); the ceiling of a class is the
     maximum of these averages. Every class needs at least k+1 members.
     """
-    _check_class_sizes(train, k, leave_one_out=True)
+    check_class_sizes(train, k, leave_one_out=True)
     distance = _feature_aligned_distance(leaves)
     by_class: dict[int, list[SequenceSample]] = {}
     for s in train:

@@ -152,12 +152,15 @@ class _Smo:
         return 0
 
 
-def _check_c_tol(c: float, tol: float) -> None:
+def check_svm_params(nu: float | None, c: float, tol: float = 1e-3) -> None:
+    """Reject an unusable c, tol or (given) bandwidth nu with a ConfigError."""
     # nan or inf c trains a useless model; tol <= 0 spins through the pass budget.
     if not 0 < c < np.inf:
         raise ConfigError("c must be positive and finite")
     if not 0 < tol < np.inf:
         raise ConfigError("tol must be positive and finite")
+    if nu is not None:
+        check_bandwidth(nu)
 
 
 def svm_train_binary(
@@ -179,7 +182,7 @@ def svm_train_binary(
         raise ConfigError("labels must be +/-1")
     if np.all(y == y[0]):
         raise ConfigError("training requires both classes")
-    _check_c_tol(c, tol)
+    check_svm_params(None, c, tol)
     n = len(y)
     if max_passes is None:
         max_passes = 10 * n
@@ -265,9 +268,7 @@ def svm_train_multiclass(
     """
     if mode not in (MODE_ONE_VS_ONE, MODE_ONE_VS_ALL):
         raise ConfigError(f"unknown mode {mode!r}")
-    _check_c_tol(c, tol)  # before the kernel, whose warps dominate training
-    if nu is not None:
-        check_bandwidth(nu)
+    check_svm_params(nu, c, tol)  # before the kernel, whose warps dominate training
     labels = np.asarray(labels, dtype=int)
     if len(labels) != len(train_assignments):
         raise DimensionError("labels must match the number of sequences")

@@ -1,4 +1,7 @@
 import json
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,16 @@ from uoslearn import cli, hierarchy, sequences, svm
 from uoslearn.cli import cli_main
 from conftest import write_feature_csv
 from uoslearn.datasets import write_feature_bin, write_labels
-from uoslearn.synth import UosSynthConfig, generate_synthetic_uos
+from uoslearn.hierarchy import HierarchyConfig
+from uoslearn.solver import SolverConfig
+from uoslearn.synth import SequenceSynthConfig, UosSynthConfig, generate_synthetic_uos
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+DATA_KEYS = {"data", "format", "labels", "boundaries", "block_rows", "block_bins"}
+SOLVER_KEYS = {
+    "method", "alpha", "beta", "lambda", "rho", "mu0", "mu_max", "epsilon", "eta_factor",
+    "max_iters", "error_mode", "coeff_threshold",
+}
 
 
 def run_cli(capsys, *argv):
@@ -15,6 +27,18 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     records = [json.loads(line) for line in captured.out.splitlines() if line]
     return code, records, captured.err
+
+
+def count_assignments(monkeypatch) -> list:
+    """Count the CLI's `assign_to_leaves` calls in the returned list."""
+    assign, assigned = cli.assign_to_leaves, []
+
+    def counted_assign(sample, leaves):
+        assigned.append(len(assigned))
+        return assign(sample, leaves)
+
+    monkeypatch.setattr(cli, "assign_to_leaves", counted_assign)
+    return assigned
 
 
 def write_config(path, **kv):
@@ -600,6 +624,108 @@ class TestConfigKeys:
         assert message in err
         assert len(err) < 200
 
+    def test_schema_keys_derived_from_the_dataclasses_keep_their_names(self):
+        # A renamed dataclass field must not silently rename a config key.
+        keys = {
+            "solver": cli.SOLVER_KEYS,
+            "uos": cli.SYNTH_KEYS["uos"],
+            "sequences": cli.SYNTH_KEYS["sequences"],
+            "cluster": cli.CLUSTER_KEYS,
+            "hierarchy": cli.HIERARCHY_KEYS,
+        }
+        assert {name: set(k) for name, k in keys.items()} == {
+            "solver": SOLVER_KEYS,
+            "uos": {"m", "subspaces", "dim", "points", "noise", "geometry"},
+            "sequences": {
+                "m", "leaves", "leaf_dim", "classes", "train_per_class", "test_per_class",
+                "template_len", "frames_min", "frames_max", "jitter",
+            },
+            "cluster": {"seed", "clusters", *DATA_KEYS, *SOLVER_KEYS},
+            "hierarchy": {
+                "seed", "levels", "gamma", "split_gain", "min_dim", *DATA_KEYS, *SOLVER_KEYS,
+            },
+        }
+        assert all(len(k) == len(set(k)) for k in keys.values())
+        assert set(cli.SYNTH_KEYS) == {"uos", "sequences"}
+
+    @pytest.mark.parametrize(
+        "method, key", [("lrr", "alpha"), ("lrr", "beta"), ("sclrr", "beta")]
+    )
+    def test_weight_the_method_ignores_must_be_a_number_of_any_sign(
+        self, uos_dataset, capsys, method, key
+    ):
+        argv = ["cluster", "--clusters", "3", "--method", method,
+                "--set", f"data={uos_dataset / 'features.bin'}", "--set", "lambda=10"]
+        _, default, _ = run_cli(capsys, *argv)
+        code, records, _ = run_cli(capsys, *argv, "--set", f"{key}=-2")
+        assert code == 0
+        assert records == default
+        code, records, err = run_cli(capsys, *argv, "--set", f"{key}=abc")
+        assert code == 2
+        assert records == []
+        assert f"config key {key} must be a number, got 'abc'" in err
+
+
+def readme_config_rows() -> dict[str, dict[str, str | None]]:
+    """README "Config keys" table: scope -> {key: text in parentheses, or None}."""
+    section = README.read_text(encoding="utf-8").split("### Config keys\n", 1)[1]
+    rows = {}
+    for line in section.lstrip("\n").split("\n\n", 1)[0].splitlines()[2:]:
+        scope, keys = line.strip("| ").split(" | ")
+        entries = re.finditer(r"`(\w+)`(?: \(([^)]*)\))?", keys)
+        rows[scope] = {m.group(1): m.group(2) for m in entries}
+    return rows
+
+
+class TestReadmeConfigKeys:
+    """The README's "Config keys" table lists exactly the keys each subcommand accepts,
+    with the defaults the schema applies."""
+
+    SCOPES = {
+        "cluster": ("data", "solver", "cluster"),
+        "hierarchy": ("data", "solver", "hierarchy"),
+        "classify": ("classify",),
+        "uos": ("synth", "synth, `kind = uos`"),
+        "sequences": ("synth", "synth, `kind = sequences`"),
+    }
+
+    def test_each_subcommand_lists_exactly_its_keys(self):
+        rows = readme_config_rows()
+        assert {scope for scopes in self.SCOPES.values() for scope in scopes} == set(rows)
+        accepted = {
+            "cluster": cli.CLUSTER_KEYS,
+            "hierarchy": cli.HIERARCHY_KEYS,
+            "classify": cli.CLASSIFY_KEYS,
+            **{kind: ("kind", "out", "seed", *keys) for kind, keys in cli.SYNTH_KEYS.items()},
+        }
+        for command, scopes in self.SCOPES.items():
+            listed = [key for scope in scopes for key in rows[scope]]
+            assert sorted(listed) == sorted(accepted[command]), command
+
+    def test_defaults_match_the_schema(self):
+        schema = {}
+        for cls in (SolverConfig, HierarchyConfig, UosSynthConfig, SequenceSynthConfig):
+            for f in fields(cls):
+                schema[cli.FIELD_KEYS.get(f.name, f.name)] = f.default
+        schema.update({key: float(value) for key, value in cli.SOLVER_DEFAULTS.items()})
+        checked = set()
+        for keys in readme_config_rows().values():
+            for key, text in keys.items():
+                if key not in schema:
+                    continue
+                checked.add(key)
+                expected = schema[key]
+                if expected is MISSING:
+                    assert text is None, f"{key} is required, but the README gives {text!r}"
+                    continue
+                shown = text.split("\\|")[0].strip("`")
+                if isinstance(expected, str):
+                    assert shown == expected, key
+                else:
+                    assert float(shown) == expected, key
+        # Every field but those the CLI fills itself.
+        assert checked == set(schema) - {"l_max", "max_level", "sequences_per_class"}
+
 
 class TestRangeAndModelChecks:
     """Config that the command would ignore or misreport exits 2, naming it."""
@@ -752,6 +878,27 @@ class TestChecksBeforeWork:
     @pytest.mark.parametrize(
         "overrides, message",
         [
+            (["--classifier", "svm-ovo", "--open"], "open-set SVM requires classifier svm-ova"),
+            (["--classifier", "knn", "--set", "k=0"], "k must be >= 1"),
+            (["--classifier", "svm-ovo", "--set", "nu=abc"], "config key nu must be a number"),
+            (["--classifier", "svm-ovo", "--set", "nu=-1"], "nu must be positive"),
+            (["--classifier", "svm-ova", "--set", "c=0"], "c must be positive and finite"),
+        ],
+        ids=["open-svm-ovo", "k-zero", "nu-text", "nu-negative", "c-zero"],
+    )
+    def test_classify_checks_its_config_before_assigning_any_sequence(
+        self, seq_dataset, capsys, monkeypatch, overrides, message
+    ):
+        assigned = count_assignments(monkeypatch)
+        code, records, err = run_cli(capsys, "classify", "--data", str(seq_dataset), *overrides)
+        assert code == 2
+        assert records == []
+        assert message in err
+        assert len(assigned) == 0
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
             (["--open", "--set", "varsigma=1"], "varsigma must be > 1"),
             (["--open", "--set", "varsigma=0.5"], "varsigma must be > 1"),
             (["--open", "--set", "k=0"], "k must be >= 1"),
@@ -765,6 +912,7 @@ class TestChecksBeforeWork:
     def test_knn_checks_k_and_varsigma_before_warping(
         self, seq_dataset, capsys, monkeypatch, overrides, message
     ):
+        assigned = count_assignments(monkeypatch)
         align = sequences.align_features_dtw
         warps = []
 
@@ -780,3 +928,4 @@ class TestChecksBeforeWork:
         assert records == []
         assert message in err
         assert warps == []
+        assert len(assigned) == 0
