@@ -156,10 +156,10 @@ def cfg_float(cfg, key, default=None) -> float:
 
 
 def cfg_bool(cfg, key, default=False) -> bool:
-    raw = cfg.get(key, str(default)).lower()
-    if raw in ("1", "true", "yes", "on"):
+    raw = cfg.get(key, str(default))
+    if raw.lower() in ("1", "true", "yes", "on"):
         return True
-    if raw in ("0", "false", "no", "off"):
+    if raw.lower() in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"config key {key} must be a boolean, got {raw!r}")
 

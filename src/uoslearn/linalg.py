@@ -6,11 +6,16 @@ NaN/Inf entries are rejected.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, NumericalError
 
 # Singular values below this are treated as zero in rank-sensitive checks.
 RANK_TOL = 1e-12
@@ -116,11 +121,45 @@ def fix_eigvec_signs(v: np.ndarray) -> np.ndarray:
     return v * signs
 
 
+@functools.cache
+def _flapack():
+    """SciPy's compiled LAPACK wrappers, without the rest of scipy.linalg.
+
+    `import scipy` is cheap and sets up SciPy's bundled libraries; the
+    extension scipy/linalg/_flapack is then loaded from its file, so
+    scipy/linalg/__init__.py (about 28 MiB and 0.3 s) never runs. An
+    already imported copy is reused.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    missing = ConfigError(
+        "method cslrr (beta > 0) needs SciPy for its embedding step; "
+        "install SciPy or use method = sclrr"
+    )
+    try:
+        import scipy
+    except ImportError:
+        raise missing from None
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise missing
+
+
 def sym_eig_smallest(m, k: int) -> np.ndarray:
     """Orthonormal eigenvectors of symmetric `m` for its k smallest eigenvalues.
 
-    Columns are ordered by ascending eigenvalue with the sign convention of
-    fix_eigvec_signs, making the output deterministic for identical inputs.
+    Only the k smallest eigenpairs are computed, by LAPACK's dsyevr (MRRR)
+    with the arguments `scipy.linalg.eigh(sym, subset_by_index=[0, k-1])`
+    passes it, so the result is that call's bit for bit. Columns are ordered
+    by ascending eigenvalue with the sign convention of fix_eigvec_signs,
+    making the output deterministic for identical inputs.
     """
     m = as_matrix(m)
     n = m.shape[0]
@@ -130,10 +169,17 @@ def sym_eig_smallest(m, k: int) -> np.ndarray:
         raise DimensionError(f"k must be in [1, {n}], got {k}")
     if np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
         raise ValueError("matrix is not symmetric")
-    sym = (m + m.T) / 2.0
-    # Imported here: only the beta > 0 F step needs scipy.linalg, which is slow to load.
-    import scipy.linalg
-
-    # Only the k smallest eigenpairs are computed; ascending order.
-    _, vecs = scipy.linalg.eigh(sym, subset_by_index=[0, k - 1])
+    # m + m.T overflows for entries near the float64 limit, and LAPACK must see no inf.
+    sym = as_matrix((m + m.T) / 2.0, "symmetrized matrix")
+    # Loaded here: only the beta > 0 F step needs SciPy's LAPACK wrappers.
+    lapack = _flapack()
+    lwork, liwork, info = lapack.dsyevr_lwork(n=n, lower=1)
+    if info != 0:
+        raise NumericalError(f"dsyevr workspace query failed (info={info})")
+    _, vecs, found, _, info = lapack.dsyevr(
+        a=sym, compute_v=1, range="I", il=1, iu=k, lower=1,
+        lwork=int(lwork), liwork=int(liwork),
+    )
+    if info != 0 or found != k:
+        raise NumericalError(f"dsyevr failed (info={info}, {found} of {k} eigenpairs)")
     return fix_eigvec_signs(vecs)

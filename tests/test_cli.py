@@ -420,6 +420,15 @@ class TestCliErrors:
         assert code == 2
         assert f"config key {key} must be finite" in err
 
+    def test_bad_boolean_is_quoted_as_given(self, seq_dataset, capsys):
+        code, records, err = run_cli(
+            capsys, "classify", "--classifier", "knn",
+            "--set", f"data={seq_dataset}", "--set", "open=MAYBE",
+        )
+        assert code == 2
+        assert "config key open must be a boolean, got 'MAYBE'" in err
+        assert records == []
+
     @pytest.mark.filterwarnings("error")
     def test_huge_nu_saturates_silently(self, seq_dataset, capsys):
         code, records, err = run_cli(

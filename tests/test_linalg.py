@@ -202,6 +202,11 @@ class TestSymEigSmallest:
         with pytest.raises(ValueError):
             sym_eig_smallest(m, 1)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_symmetrization_rejected(self):
+        with pytest.raises(DataError, match="symmetrized matrix contains non-finite"):
+            sym_eig_smallest(np.full((2, 2), 1e308), 1)
+
 
 class TestSymEigSmallestPartial:
     """`sym_eig_smallest` computes only the k smallest eigenpairs; where the
@@ -241,3 +246,38 @@ class TestSymEigSmallestPartial:
         assert np.abs(f @ f.T - full @ full.T).max() <= 1e-10
         assert np.abs(f @ f.T - same).max() <= 1e-10
         assert np.array_equal(fix_eigvec_signs(f), f)
+
+
+def eigh_reference(m, k):
+    """The embedding step as it was before it called LAPACK's dsyevr directly."""
+    import scipy.linalg
+
+    sym = (m + m.T) / 2.0
+    _, vecs = scipy.linalg.eigh(sym, subset_by_index=[0, k - 1])
+    return fix_eigvec_signs(vecs)
+
+
+def block_laplacian(rng, n):
+    """Laplacian of a graph of up to three components: a repeated zero eigenvalue."""
+    w = np.zeros((n, n))
+    for idx in np.array_split(np.arange(n), min(n, 3)):
+        block = rng.uniform(0.5, 1.0, (len(idx), len(idx)))
+        w[np.ix_(idx, idx)] = (block + block.T) / 2
+    np.fill_diagonal(w, 0.0)
+    return np.diag(w.sum(axis=1)) - w
+
+
+class TestSymEigSmallestMatchesEigh:
+    """`sym_eig_smallest` calls dsyevr with the arguments `scipy.linalg.eigh`
+    passes it, so it returns that routine's result bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["random", "laplacian"])
+    @pytest.mark.parametrize("n", [1, 2, 17, 240, 300])
+    def test_bit_identical(self, rng, n, kind):
+        if kind == "random":
+            a = rng.standard_normal((n, n))
+            m = (a + a.T) / 2
+        else:
+            m = block_laplacian(rng, n)
+        for k in sorted({1, (n + 1) // 2, n}):
+            assert np.array_equal(sym_eig_smallest(m, k), eigh_reference(m, k)), k
