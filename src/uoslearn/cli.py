@@ -281,6 +281,9 @@ def cmd_synth(args) -> int:
         return 0
     train_pc = cfg_int(cfg, "train_per_class")
     test_pc = cfg_int(cfg, "test_per_class")
+    for key, count in (("train_per_class", train_pc), ("test_per_class", test_pc)):
+        if count < 1:
+            raise ConfigError(f"{key} must be >= 1, got {count}")
     scfg = SequenceSynthConfig(
         **config_values(SequenceSynthConfig, cfg, sequences_per_class=train_pc + test_pc, seed=seed)
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -38,6 +39,20 @@ def spectral_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def one_blas_thread() -> bool:
+    """Whether the environment pins OpenBLAS to one thread.
+
+    Reads the variables OpenBLAS reads when it loads, in its order: the
+    first holding a positive integer sets the thread count. With none
+    set, OpenBLAS runs a thread per core and this returns False.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) == 1
+    return False
+
+
 def svt(a, tau: float, alongside: Callable[[], None] | None = None) -> np.ndarray:
     """Singular value thresholding: the proximal operator of tau * nuclear norm.
 
@@ -50,9 +65,12 @@ def svt(a, tau: float, alongside: Callable[[], None] | None = None) -> np.ndarra
     scaled by a power of two near 1/max|a|, which is exact, so entries
     near 1e+-200 neither overflow nor underflow when squared.
 
-    `alongside`, if given, is called once on the calling thread while a
-    one-worker thread pool decomposes the Gram matrix. The worker has
-    finished before svt returns or re-raises an exception from either.
+    `alongside`, if given, is called once on the calling thread. When
+    `one_blas_thread()` holds, it runs while a one-worker thread pool
+    decomposes the Gram matrix, and the worker has finished before svt
+    returns or re-raises an exception from either. With a multi-threaded
+    BLAS it runs just before the decomposition, since the BLAS thread
+    pools would otherwise oversubscribe the cores.
     """
     a = as_matrix(a)
     if tau < 0:
@@ -63,7 +81,9 @@ def svt(a, tau: float, alongside: Callable[[], None] | None = None) -> np.ndarra
     scaled = np.ldexp(a, -exp)
     tau_scaled = np.ldexp(tau, -exp)
     gram = scaled.T @ scaled
-    if alongside is None:
+    if alongside is None or not one_blas_thread():
+        if alongside is not None:
+            alongside()
         lam, v = np.linalg.eigh(gram)
     else:
         # Imported here: only the beta > 0 solve overlaps work with the eigh.

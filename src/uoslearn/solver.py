@@ -22,7 +22,6 @@ representation.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -148,7 +147,6 @@ class SolverState:
     g1: np.ndarray
     g2: np.ndarray
     theta: np.ndarray
-    v: np.ndarray
     mu: float
     t: int
     eta: float
@@ -197,7 +195,6 @@ def init_state(x: FeatureMatrix, config: SolverConfig) -> SolverState:
         g1=np.zeros_like(x.data),
         g2=zeros(),
         theta=zeros(),
-        v=np.zeros(n),
         mu=config.mu0,
         t=0,
         eta=eta,
@@ -212,7 +209,8 @@ def update_z(
 ) -> np.ndarray:
     """Linearized nuclear-norm step: SVT of Z - grad/(eta*mu) at level 1/(eta*mu).
 
-    `alongside` is passed to svt, which runs it during its decomposition.
+    `alongside` is passed to svt, which runs it beside or just before its
+    decomposition.
     """
     data = x.data
     grad_over_mu = data.T @ (data @ state.z - data + state.e - state.g1 / state.mu)
@@ -222,35 +220,32 @@ def update_z(
     )
 
 
-def update_q(
-    state: SolverState, weights: np.ndarray, config: SolverConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def update_q(state: SolverState, weights: np.ndarray, config: SolverConfig) -> np.ndarray:
     """Entrywise shrinkage of Z + G2/mu with per-entry thresholds.
 
     The threshold matrix is (alpha*B + beta*Theta)/mu, which stays well
     defined at alpha = 0; a threshold that overflows is a NumericalError
-    naming the iteration. Returns the new Q together with the refreshed
-    degree vector v_i = sum_j (|q_ij| + |q_ji|)/2.
+    naming the iteration.
     """
     with np.errstate(over="ignore"):  # an overflow is reported just below
         thresholds = (config.alpha * weights + config.beta * state.theta) / state.mu
     if not np.all(np.isfinite(thresholds)):
         raise NumericalError(f"non-finite Q thresholds at iteration {state.t}")
-    q = elementwise_shrink(state.z + state.g2 / state.mu, thresholds, 1.0)
-    absq = np.abs(q)
-    v = (absq.sum(axis=1) + absq.sum(axis=0)) / 2.0
-    return q, v
+    return elementwise_shrink(state.z + state.g2 / state.mu, thresholds, 1.0)
 
 
 def update_f(state: SolverState, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Smallest-eigenvector embedding of the current Laplacian, plus Theta.
 
-    M = diag(v) - (|Q| + |Q^T|)/2; F collects the eigenvectors of the
-    l_max smallest eigenvalues, and theta_ij = 0.5*||f^i - f^j||^2 measures
-    row disagreement of the embedding.
+    M = diag(v) - W for the graph W = (|Q| + |Q^T|)/2 of the current Q and
+    its degrees v_i = sum_j (|q_ij| + |q_ji|)/2; F collects the
+    eigenvectors of the l_max smallest eigenvalues, and
+    theta_ij = 0.5*||f^i - f^j||^2 measures row disagreement of the
+    embedding.
     """
-    w = (np.abs(state.q) + np.abs(state.q.T)) / 2.0
-    m = np.diag(state.v) - w
+    absq = np.abs(state.q)
+    v = (absq.sum(axis=1) + absq.sum(axis=0)) / 2.0
+    m = np.diag(v) - (absq + absq.T) / 2.0
     f = sym_eig_smallest(m, config.l_max)
     sq = (f * f).sum(axis=1)
     theta = (sq[:, None] + sq[None, :]) / 2.0 - f @ f.T
@@ -280,20 +275,6 @@ def update_e(state: SolverState, x: FeatureMatrix, config: SolverConfig) -> np.n
     return (blocks * scale[:, :, None]).reshape(x.n_samples, x.m).T
 
 
-def one_blas_thread() -> bool:
-    """Whether the environment pins OpenBLAS to one thread.
-
-    Reads the variables OpenBLAS reads when it loads, in its order: the
-    first holding a positive integer sets the thread count. With none
-    set, OpenBLAS runs a thread per core and this returns False.
-    """
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value) == 1
-    return False
-
-
 def cslrr_solve(
     x: FeatureMatrix,
     config: SolverConfig,
@@ -310,16 +291,13 @@ def cslrr_solve(
     would leave, so skipping it changes no iterate. `callback` is invoked
     with the state after each completed iteration.
 
-    Iteration t's F update is first read by the Q update of iteration t+1.
-    So at beta > 0, when `one_blas_thread()` holds, it runs during
-    iteration t+1's Z update, while a second thread decomposes the SVT's
-    Gram matrix (`svt`'s `alongside`); the last iteration's F update runs
-    after the loop. Every iterate is the same as in sequential order, but
-    the state passed to `callback` after iteration t holds the Theta of
-    iteration t-1. An exception from the F update or from the
-    decomposition propagates after the second thread has finished. With
-    a multi-threaded BLAS the F update runs in sequence: numpy's and
-    SciPy's BLAS thread pools would then oversubscribe the cores.
+    Iteration t's F update reads only Q(t), and its Theta is first read by
+    the Q update of iteration t+1. So at beta > 0 it runs during
+    iteration t+1's Z update, as the SVT's `alongside`, which `svt` runs
+    beside or just before its Gram decomposition; the last iteration's F
+    update runs after the loop. Every iterate is the same as in
+    sequential order, and the state passed to `callback` after iteration
+    t holds the Theta of iteration t-1.
     """
     if x.n_samples < config.l_max:
         raise DimensionError(
@@ -338,16 +316,13 @@ def cslrr_solve(
     def f_step():
         _, state.theta = update_f(state, config)
 
-    overlap = config.beta > 0 and one_blas_thread()
     converged = False
     pending = None  # the F update that the next Z update runs alongside
     for _ in range(config.max_iters):
         state.z = update_z(state, x, config, alongside=pending)
-        state.q, state.v = update_q(state, weights, config)
-        if overlap:
+        state.q = update_q(state, weights, config)
+        if config.beta > 0:
             pending = f_step
-        elif config.beta > 0:
-            f_step()
         state.e = update_e(state, x, config)
 
         r1_mat = x.data - x.data @ state.z - state.e

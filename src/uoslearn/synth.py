@@ -44,11 +44,6 @@ class UosSynthConfig:
             )
 
 
-def random_rotation(m: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((m, m)))
-    return q * np.sign(np.diag(r))
-
-
 def random_orthonormal(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((m, d)))
     return q * np.sign(np.diag(r))
@@ -68,7 +63,7 @@ def _sample_subspace_points(
 def uos_bases(cfg: UosSynthConfig, rng: np.random.Generator) -> list[np.ndarray]:
     """Subspace bases: rotated coordinate blocks (independent) or i.i.d. draws (disjoint)."""
     if cfg.geometry == GEOMETRY_INDEPENDENT:
-        rotation = random_rotation(cfg.m, rng)
+        rotation = random_orthonormal(cfg.m, cfg.m, rng)
         return [
             rotation[:, i * cfg.dim : (i + 1) * cfg.dim] for i in range(cfg.subspaces)
         ]
@@ -148,7 +143,7 @@ def generate_synthetic_sequences(
 ) -> tuple[list[SequenceSample], LeafSet]:
     """Labeled sequence samples plus the leaf subspaces that generated them."""
     rng = np.random.default_rng(cfg.seed)
-    rotation = random_rotation(cfg.m, rng)
+    rotation = random_orthonormal(cfg.m, cfg.m, rng)
     bases = [
         rotation[:, i * cfg.leaf_dim : (i + 1) * cfg.leaf_dim]
         for i in range(cfg.leaves)

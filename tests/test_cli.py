@@ -938,3 +938,32 @@ class TestChecksBeforeWork:
         assert message in err
         assert warps == []
         assert len(assigned) == 0
+
+    @pytest.mark.parametrize(
+        "train, test, key",
+        [(0, 2, "train_per_class"), (-1, 3, "train_per_class"),
+         (2, -1, "test_per_class"), (3, 0, "test_per_class")],
+        ids=["train-zero", "train-negative", "test-negative", "test-zero"],
+    )
+    def test_synth_sequences_rejects_per_class_counts_below_one_before_writing(
+        self, tmp_path, capsys, monkeypatch, train, test, key
+    ):
+        generate, generated = cli.generate_synthetic_sequences, []
+
+        def counted_generate(*args, **kwargs):
+            generated.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_synthetic_sequences", counted_generate)
+        out = tmp_path / "out"
+        code, records, err = run_cli(
+            capsys, "synth", "--set", "kind=sequences", "--set", "m=6", "--set", "leaves=3",
+            "--set", "leaf_dim=2", "--set", "classes=2", "--set", f"train_per_class={train}",
+            "--set", f"test_per_class={test}", "--out", str(out),
+        )
+        assert code == 2
+        assert records == []
+        assert f"{key} must be >= 1" in err
+        assert "Traceback" not in err
+        assert generated == []
+        assert not out.exists()

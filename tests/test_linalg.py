@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uoslearn import linalg
 from uoslearn.errors import DataError, DimensionError
 from uoslearn.linalg import (
     col_l21_prox,
@@ -53,8 +54,13 @@ class TestSvt:
 
 
 class TestSvtAlongside:
-    """`svt(a, tau, alongside=f)` runs f on the calling thread while a worker
-    thread decomposes the Gram matrix, and leaves no thread behind."""
+    """With one BLAS thread, `svt(a, tau, alongside=f)` runs f on the calling
+    thread while a worker thread decomposes the Gram matrix, and leaves no
+    thread behind."""
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, monkeypatch):
+        monkeypatch.setattr(linalg, "one_blas_thread", lambda: True)
 
     @pytest.mark.parametrize("shape", [(40, 30), (30, 40)], ids=["tall", "wide"])
     def test_bit_identical_and_called_once_on_calling_thread(self, rng, shape):
@@ -90,6 +96,47 @@ class TestSvtAlongside:
             svt(rng.standard_normal((20, 15)), 0.5, alongside=lambda: calls.append(1))
         assert calls == [1]
         assert threading.active_count() == threads
+
+
+class TestSvtAlongsideThreadedBlas:
+    """With a multi-threaded BLAS, `svt(a, tau, alongside=f)` runs f on the
+    calling thread just before the Gram decomposition and starts no thread."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """Records ("eigh", thread) per decomposition and fails any thread start."""
+        monkeypatch.setattr(linalg, "one_blas_thread", lambda: False)
+        eigh, events = np.linalg.eigh, []
+
+        def recording_eigh(m):
+            events.append(("eigh", threading.get_ident()))
+            return eigh(m)
+
+        def no_start(thread):
+            raise AssertionError(f"svt started thread {thread.name}")
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        return events
+
+    @pytest.mark.parametrize("shape", [(40, 30), (30, 40)], ids=["tall", "wide"])
+    def test_called_once_on_calling_thread_before_the_decomposition(
+        self, rng, events, shape
+    ):
+        a = rng.standard_normal(shape)
+        tau = float(np.median(np.linalg.svd(a, compute_uv=False)))
+        me = threading.get_ident()
+        out = svt(a, tau, alongside=lambda: events.append(("alongside", threading.get_ident())))
+        assert events == [("alongside", me), ("eigh", me)]
+        assert np.array_equal(out, svt(a, tau))
+
+    def test_exception_from_alongside_propagates_before_any_eigh(self, rng, events):
+        def fail():
+            raise ArithmeticError("from alongside")
+
+        with pytest.raises(ArithmeticError, match="from alongside"):
+            svt(rng.standard_normal((20, 15)), 0.5, alongside=fail)
+        assert events == []
 
 
 class TestElementwiseShrink:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthonormal, unit_columns
-from uoslearn import solver
+from uoslearn import linalg, solver
 from uoslearn.errors import ConfigError, DataError, DimensionError, NumericalError
 from uoslearn.linalg import svt
 from uoslearn.metrics import clustering_accuracy
@@ -92,7 +92,7 @@ def reference_solve(x, config, callback=None):
     converged = False
     for _ in range(config.max_iters):
         state.z = update_z(state, x, config)
-        state.q, state.v = update_q(state, weights, config)
+        state.q = update_q(state, weights, config)
         _, state.theta = update_f(state, config)
         state.e = update_e(state, x, config)
 
@@ -197,10 +197,8 @@ class TestUpdates:
         state = init_state(x, cfg)
         state.z = rng.standard_normal((8, 8))
         state.g2 = rng.standard_normal((8, 8))
-        q, v = update_q(state, np.zeros((8, 8)), cfg)
+        q = update_q(state, np.zeros((8, 8)), cfg)
         assert np.allclose(q, state.z + state.g2 / state.mu)
-        absq = np.abs(q)
-        assert np.allclose(v, (absq.sum(0) + absq.sum(1)) / 2)
 
     def test_q_small_entries_zeroed(self):
         x = FeatureMatrix(np.eye(4))
@@ -210,7 +208,7 @@ class TestUpdates:
         state.theta = np.ones((4, 4))
         weights = np.ones((4, 4))
         # per-entry threshold (2*1 + 1*1)/0.1 = 30 >> |z|
-        q, _ = update_q(state, weights, cfg)
+        q = update_q(state, weights, cfg)
         assert np.array_equal(q, np.zeros((4, 4)))
 
     def test_f_block_diagonal_indicator(self):
@@ -222,8 +220,6 @@ class TestUpdates:
         q[0, 1] = q[1, 0] = 0.9
         q[2, 3] = q[3, 2] = 0.7
         state.q = q
-        absq = np.abs(q)
-        state.v = (absq.sum(0) + absq.sum(1)) / 2
         f, theta = update_f(state, cfg)
         assert np.abs(f.T @ f - np.eye(2)).max() < 1e-10
         assert theta[0, 1] == pytest.approx(0.0, abs=1e-12)
@@ -235,10 +231,9 @@ class TestUpdates:
         cfg = small_config(l_max=3)
         state = init_state(x, cfg)
         state.q = rng.standard_normal((7, 7))
-        absq = np.abs(state.q)
-        state.v = (absq.sum(0) + absq.sum(1)) / 2
         f, _ = update_f(state, cfg)
-        m = np.diag(state.v) - (absq + absq.T) / 2
+        absq = np.abs(state.q)
+        m = np.diag((absq.sum(0) + absq.sum(1)) / 2) - (absq + absq.T) / 2
         expected = np.sort(np.linalg.eigvalsh(m))[:3].sum()
         assert np.trace(f.T @ m @ f) == pytest.approx(expected, abs=1e-8)
 
@@ -393,8 +388,9 @@ def _snapshot(trail):
 
 
 class TestEmbeddingStepSkippedAtBetaZero:
-    # At beta > 0 with one BLAS thread the F update runs during the next Z
-    # update instead; `overlap` stands in for what one_blas_thread observes.
+    # At beta > 0 the F update runs during the next Z update instead, beside
+    # the Gram eigh or just before it; `overlap` stands in for what
+    # one_blas_thread observes.
     @pytest.mark.parametrize(
         "alpha, beta, overlap",
         [(0.0, 0.0, True), (1.0, 0.0, True), (1.0, 0.5, False), (1.0, 0.5, True)],
@@ -403,7 +399,7 @@ class TestEmbeddingStepSkippedAtBetaZero:
     def test_iterates_bit_identical_to_always_updating_f(
         self, monkeypatch, alpha, beta, overlap
     ):
-        monkeypatch.setattr(solver, "one_blas_thread", lambda: overlap)
+        monkeypatch.setattr(linalg, "one_blas_thread", lambda: overlap)
         fm, _ = generate_synthetic_uos(
             UosSynthConfig(m=20, subspaces=3, dim=2, points_per_subspace=12, seed=3)
         )
@@ -440,12 +436,12 @@ class TestEmbeddingStepSkippedAtBetaZero:
 
         monkeypatch.setattr(solver, "update_f", counted)
         monkeypatch.setattr(solver, "svt", recording_svt)
-        monkeypatch.setattr(solver, "one_blas_thread", lambda: overlap)
+        monkeypatch.setattr(linalg, "one_blas_thread", lambda: overlap)
         x = FeatureMatrix(unit_columns(rng.standard_normal((6, 10))))
         res = cslrr_solve(x, small_config(l_max=3, beta=beta, max_iters=20))
         assert len(calls) == (res.iterations if beta > 0 else 0)
-        # Overlapped, iteration t's F update runs during iteration t+1's SVT.
-        assert alongside == [False] + [beta > 0 and overlap] * (res.iterations - 1)
+        # In both modes iteration t's F update runs during iteration t+1's SVT.
+        assert alongside == [False] + [beta > 0] * (res.iterations - 1)
 
 
 class TestOneBlasThread:
@@ -475,7 +471,7 @@ class TestOneBlasThread:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert solver.one_blas_thread() is expected
+        assert linalg.one_blas_thread() is expected
 
 
 class TestThresholdAndAffinity:
@@ -523,8 +519,6 @@ class TestFeatureMatrixValidation:
         cfg = small_config(l_max=2)
         state = init_state(x, cfg)
         state.q = rng.standard_normal((6, 6))
-        absq = np.abs(state.q)
-        state.v = (absq.sum(0) + absq.sum(1)) / 2
         _, theta = update_f(state, cfg)
         assert np.all(theta >= 0)
         assert np.all(np.diag(theta) == 0)
