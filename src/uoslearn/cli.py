@@ -54,7 +54,7 @@ def config_keys(cls, *given: str) -> tuple[str, ...]:
 
 
 # The config keys each subcommand reads; any other key is a ConfigError.
-DATA_KEYS = ("data", "format", "labels", "boundaries", "block_rows", "block_bins")
+DATA_KEYS = ("data", "format", "labels", "block_rows", "block_bins")
 SOLVER_KEYS = ("method", *config_keys(SolverConfig, "l_max"))
 SYNTH_KEYS = {
     "uos": config_keys(UosSynthConfig, "seed"),
@@ -194,19 +194,6 @@ def _resolve(base: Path, value: str) -> Path:
     return p if p.is_absolute() else base / p
 
 
-def manifest_from_config(cfg: dict[str, str], base: Path) -> datasets.DatasetManifest:
-    block = None
-    if "block_rows" in cfg or "block_bins" in cfg:
-        block = (cfg_int(cfg, "block_rows"), cfg_int(cfg, "block_bins"))
-    return datasets.DatasetManifest(
-        features=_resolve(base, need(cfg, "data")),
-        fmt=cfg.get("format", "bin"),
-        labels=_resolve(base, cfg["labels"]) if "labels" in cfg else None,
-        boundaries=_resolve(base, cfg["boundaries"]) if "boundaries" in cfg else None,
-        block_shape=block,
-    )
-
-
 def solver_config_from(cfg: dict[str, str], method: str, l_max: int) -> SolverConfig:
     """Parse every solver key, then zero the weights `method` does not use."""
     values = config_values(SolverConfig, {**SOLVER_DEFAULTS, **cfg}, l_max=l_max)
@@ -224,13 +211,18 @@ def load_features(args, keys, command: str):
     solve: the shared front half of `cluster` and `hierarchy`."""
     cfg, base = load_config(args)
     check_keys(cfg, keys, command)
-    manifest = manifest_from_config(cfg, base)
-    fm = datasets.load_feature_matrix(manifest)
+    block = None
+    if "block_rows" in cfg or "block_bins" in cfg:
+        block = (cfg_int(cfg, "block_rows"), cfg_int(cfg, "block_bins"))
+    fm = datasets.load_feature_matrix(
+        _resolve(base, need(cfg, "data")), cfg.get("format", "bin"), block
+    )
     truth = None
-    if manifest.labels is not None:
-        truth = datasets.load_labels(manifest.labels)
+    if "labels" in cfg:
+        path = _resolve(base, cfg["labels"])
+        truth = datasets.load_labels(path)
         if len(truth) != fm.n_samples:
-            raise DataError(f"{manifest.labels}: {len(truth)} labels for N={fm.n_samples} samples")
+            raise DataError(f"{path}: {len(truth)} labels for N={fm.n_samples} samples")
     return cfg, fm, truth
 
 

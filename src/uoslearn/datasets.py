@@ -1,17 +1,22 @@
-"""Dataset manifests and on-disk formats.
+"""On-disk dataset formats and their loaders.
 
 Feature matrices travel either as CSV (one sample per row, optional
 header) or as the flat binary format: a 16-byte little-endian header
 (magic "UOSF", u32 version, u32 m, u32 N) followed by m*N float64 values
 stored column by column, so each sample's m values are contiguous.
 Leaf-basis files (magic "UOSL") hold the bases as counted float64
-matrices. Both are read and written through `codec`.
+matrices; both binary formats are read and written through `codec`.
+Labels are one integer per line, and sequence boundaries one half-open
+"start end" frame range per line. A sequence dataset is a directory of
+features.bin, boundaries.txt and labels.txt, one label per sequence.
+
+Every loader takes the path of the file it reads; a file that is missing,
+unreadable or malformed is a DataError naming that path.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,29 +31,6 @@ LEAVES_MAGIC = b"UOSL"
 FORMAT_VERSION = 1
 
 NORM_WARN_TOL = 1e-6
-
-
-@dataclass
-class DatasetManifest:
-    """Paths and layout of one feature dataset."""
-
-    features: Path
-    fmt: str  # "csv" | "bin"
-    labels: Path | None = None
-    boundaries: Path | None = None
-    block_shape: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        self.features = Path(self.features)
-        if self.fmt not in ("csv", "bin"):
-            raise ConfigError(f"unknown feature format {self.fmt!r}")
-        if self.labels is not None:
-            self.labels = Path(self.labels)
-        if self.boundaries is not None:
-            self.boundaries = Path(self.boundaries)
-        for p in (self.features, self.labels, self.boundaries):
-            if p is not None and not p.exists():
-                raise ConfigError(f"manifest file does not exist: {p}")
 
 
 def _validate_entries(data: np.ndarray, source) -> None:
@@ -82,6 +64,8 @@ def read_feature_csv(path) -> np.ndarray:
             except ValueError:
                 skip = 1
         rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise DataError(f"{path}: cannot read feature CSV: {exc}") from exc
     except ValueError as exc:  # also a file that is not UTF-8 text
         raise DataError(f"{path}: malformed feature CSV: {exc}") from exc
     _validate_entries(rows, path)  # report positions in file coordinates
@@ -105,12 +89,14 @@ def write_feature_bin(path, data: np.ndarray) -> None:
     writer.save(path)
 
 
-def load_feature_matrix(manifest: DatasetManifest) -> FeatureMatrix:
-    """Load, validate and column-normalize the manifest's feature matrix."""
-    reader = read_feature_csv if manifest.fmt == "csv" else read_feature_bin
-    data = reader(manifest.features)
-    data = _normalize_columns(data, manifest.features)
-    return FeatureMatrix(data, block_shape=manifest.block_shape)
+def load_feature_matrix(path, fmt: str = "bin", block_shape=None) -> FeatureMatrix:
+    """Load, validate and column-normalize the feature matrix at `path`, stored
+    as `fmt` ("bin" or "csv"; another value is a ConfigError before any read)."""
+    readers = {"bin": read_feature_bin, "csv": read_feature_csv}
+    if fmt not in readers:
+        raise ConfigError(f"unknown feature format {fmt!r}")
+    data = _normalize_columns(readers[fmt](path), path)
+    return FeatureMatrix(data, block_shape=block_shape)
 
 
 def load_labels(path) -> np.ndarray:
@@ -173,15 +159,9 @@ def load_leaves(path) -> LeafSet:
 def load_sequence_dataset(directory) -> list[SequenceSample]:
     """Load features.bin + boundaries.txt + labels.txt from a dataset directory."""
     directory = Path(directory)
-    manifest = DatasetManifest(
-        features=directory / "features.bin",
-        fmt="bin",
-        labels=directory / "labels.txt",
-        boundaries=directory / "boundaries.txt",
-    )
-    fm = load_feature_matrix(manifest)
-    labels = load_labels(manifest.labels)
-    spans = load_boundaries(manifest.boundaries, fm.n_samples)
+    fm = load_feature_matrix(directory / "features.bin")
+    labels = load_labels(directory / "labels.txt")
+    spans = load_boundaries(directory / "boundaries.txt", fm.n_samples)
     if len(labels) != len(spans):
         raise DataError(f"{directory}: one label per sequence expected")
     return [

@@ -294,10 +294,10 @@ def cslrr_solve(
     Iteration t's F update reads only Q(t), and its Theta is first read by
     the Q update of iteration t+1. So at beta > 0 it runs during
     iteration t+1's Z update, as the SVT's `alongside`, which `svt` runs
-    beside or just before its Gram decomposition; the last iteration's F
-    update runs after the loop. Every iterate is the same as in
-    sequential order, and the state passed to `callback` after iteration
-    t holds the Theta of iteration t-1.
+    beside or just before its Gram decomposition. Nothing reads the last
+    iteration's Theta, so its F update is skipped. Every iterate is the
+    same as in sequential order, and the state passed to `callback` after
+    iteration t holds the Theta of iteration t-1.
     """
     if x.n_samples < config.l_max:
         raise DimensionError(
@@ -317,12 +317,11 @@ def cslrr_solve(
         _, state.theta = update_f(state, config)
 
     converged = False
-    pending = None  # the F update that the next Z update runs alongside
     for _ in range(config.max_iters):
-        state.z = update_z(state, x, config, alongside=pending)
+        # The previous iteration's F update, run beside this Z update's SVT.
+        alongside = f_step if config.beta > 0 and state.t > 0 else None
+        state.z = update_z(state, x, config, alongside=alongside)
         state.q = update_q(state, weights, config)
-        if config.beta > 0:
-            pending = f_step
         state.e = update_e(state, x, config)
 
         r1_mat = x.data - x.data @ state.z - state.e
@@ -345,8 +344,6 @@ def cslrr_solve(
         if r1 <= config.epsilon and r2 <= config.epsilon:
             converged = True
             break
-    if pending is not None:
-        pending()
 
     history = np.array(state.residuals) if state.residuals else np.zeros((0, 2))
     return SolveResult(

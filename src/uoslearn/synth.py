@@ -49,6 +49,14 @@ def random_orthonormal(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def orthogonal_bases(
+    m: int, count: int, dim: int, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """`count` mutually orthogonal m x dim bases: column blocks of one random rotation."""
+    rotation = random_orthonormal(m, m, rng)
+    return [rotation[:, i * dim : (i + 1) * dim] for i in range(count)]
+
+
 def _sample_subspace_points(
     basis: np.ndarray, count: int, noise: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -63,10 +71,7 @@ def _sample_subspace_points(
 def uos_bases(cfg: UosSynthConfig, rng: np.random.Generator) -> list[np.ndarray]:
     """Subspace bases: rotated coordinate blocks (independent) or i.i.d. draws (disjoint)."""
     if cfg.geometry == GEOMETRY_INDEPENDENT:
-        rotation = random_orthonormal(cfg.m, cfg.m, rng)
-        return [
-            rotation[:, i * cfg.dim : (i + 1) * cfg.dim] for i in range(cfg.subspaces)
-        ]
+        return orthogonal_bases(cfg.m, cfg.subspaces, cfg.dim, rng)
     return [random_orthonormal(cfg.m, cfg.dim, rng) for _ in range(cfg.subspaces)]
 
 
@@ -143,11 +148,7 @@ def generate_synthetic_sequences(
 ) -> tuple[list[SequenceSample], LeafSet]:
     """Labeled sequence samples plus the leaf subspaces that generated them."""
     rng = np.random.default_rng(cfg.seed)
-    rotation = random_orthonormal(cfg.m, cfg.m, rng)
-    bases = [
-        rotation[:, i * cfg.leaf_dim : (i + 1) * cfg.leaf_dim]
-        for i in range(cfg.leaves)
-    ]
+    bases = orthogonal_bases(cfg.m, cfg.leaves, cfg.leaf_dim, rng)
     templates = _class_templates(cfg, rng)
     samples = []
     for cls in range(cfg.classes):

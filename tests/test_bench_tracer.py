@@ -89,13 +89,14 @@ def test_svm_prediction_warps_only_support_rows(tracer):
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])
 def test_embedding_spans_open_only_when_beta_positive(tracer, beta):
-    # At beta = 0 the solver skips the F step, so its spans read 0.
+    # At beta = 0 the solver skips the F step, so its spans read 0; at beta > 0
+    # it skips only the last iteration's, whose Theta nothing reads.
     x = FeatureMatrix(unit_columns(np.random.default_rng(3).standard_normal((6, 10))))
     cfg = SolverConfig(l_max=3, alpha=1.0, beta=beta, lam=1.0, max_iters=15)
     run = tracer.Tracer()
     with run.installed():
         result = cslrr_solve(x, cfg)
     spans = Counter(s.name for s in run.spans)
-    expected = result.iterations if beta > 0 else 0
+    expected = result.iterations - 1 if beta > 0 else 0
     assert spans["solver.z_step"] == result.iterations > 0
     assert spans["solver.f_step"] == spans["solver.eig"] == expected

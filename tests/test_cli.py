@@ -15,7 +15,7 @@ from uoslearn.solver import SolverConfig
 from uoslearn.synth import SequenceSynthConfig, UosSynthConfig, generate_synthetic_uos
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-DATA_KEYS = {"data", "format", "labels", "boundaries", "block_rows", "block_bins"}
+DATA_KEYS = {"data", "format", "labels", "block_rows", "block_bins"}
 SOLVER_KEYS = {
     "method", "alpha", "beta", "lambda", "rho", "mu0", "mu_max", "epsilon", "eta_factor",
     "max_iters", "error_mode", "coeff_threshold",
@@ -482,6 +482,19 @@ class TestCliErrors:
         assert str(bad) in err
         assert records == []
 
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_feature_path_exits_2_naming_it(self, tmp_path, capsys, fmt, kind):
+        bad = tmp_path / "features"
+        if kind == "directory":
+            bad.mkdir()
+        argv = ["cluster", "--clusters", "2", "--set", f"data={bad}", "--set", f"format={fmt}"]
+        code, records, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert f"{bad}: cannot read" in err
+        assert records == []
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("command", ["synth", "cluster", "hierarchy"])
     def test_negative_seed_exits_2(self, tmp_path, uos_dataset, capsys, command, via):
@@ -555,6 +568,19 @@ class TestConfigKeys:
         assert records == []
         assert "unknown config key(s) for cluster: 'lamda'" in err
         assert "lambda" in err.split("accepted keys:")[1]
+
+    @pytest.mark.parametrize("command", ["cluster", "hierarchy"])
+    def test_boundaries_key_exits_2(self, tmp_path, uos_dataset, capsys, command):
+        # Flat and hierarchical clustering read one feature matrix; only
+        # classify reads sequence boundaries, from its dataset directory.
+        size = {"cluster": "clusters=3", "hierarchy": "levels=2"}[command]
+        code, records, err = run_cli(
+            capsys, command, "--set", f"data={uos_dataset / 'features.bin'}",
+            "--set", size, "--set", f"boundaries={tmp_path}",
+        )
+        assert code == 2
+        assert records == []
+        assert f"unknown config key(s) for {command}: 'boundaries';" in err
 
     def test_misspelled_key_in_config_file_exits_2(self, tmp_path, uos_dataset, capsys):
         cfg = write_config(

@@ -1,9 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import unit_columns
 from uoslearn.datasets import (
-    DatasetManifest,
     load_boundaries,
     load_feature_matrix,
     load_labels,
@@ -54,46 +55,53 @@ class TestLoader:
     def test_csv_identity(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("1,0\n0,1\n")
-        fm = load_feature_matrix(DatasetManifest(features=path, fmt="csv"))
+        fm = load_feature_matrix(path, "csv")
         assert np.array_equal(fm.data, np.eye(2))
 
     def test_csv_header_skipped(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("f1,f2\n1,0\n0,1\n")
-        fm = load_feature_matrix(DatasetManifest(features=path, fmt="csv"))
+        fm = load_feature_matrix(path, "csv")
         assert fm.data.shape == (2, 2)
 
     def test_nan_rejected_with_location(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("1,0\nnan,1\n")
         with pytest.raises(DataError, match="row"):
-            load_feature_matrix(DatasetManifest(features=path, fmt="csv"))
+            load_feature_matrix(path, "csv")
 
     def test_zero_sample_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("1,0\n0,0\n")  # second sample is all-zero
         with pytest.raises(DataError, match="zero"):
-            load_feature_matrix(DatasetManifest(features=path, fmt="csv"))
+            load_feature_matrix(path, "csv")
 
     def test_renormalization_warns(self, tmp_path, rng):
         data = rng.standard_normal((4, 3)) * 2.5
         path = tmp_path / "x.bin"
         write_feature_bin(path, data)
         with pytest.warns(UserWarning, match="renormalized"):
-            fm = load_feature_matrix(DatasetManifest(features=path, fmt="bin"))
+            fm = load_feature_matrix(path)
         assert np.allclose(np.linalg.norm(fm.data, axis=0), 1.0)
 
-    def test_missing_file_is_config_error(self, tmp_path):
-        with pytest.raises(ConfigError):
-            DatasetManifest(features=tmp_path / "absent.bin", fmt="bin")
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_is_data_error_naming_it(self, tmp_path, fmt, kind):
+        path = tmp_path / "features"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_feature_matrix(path, fmt)
+
+    def test_unknown_format_is_config_error_before_reading(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown feature format 'npy'"):
+            load_feature_matrix(tmp_path / "absent.npy", "npy")
 
     def test_block_shape_passthrough(self, tmp_path, rng):
         data = unit_columns(rng.standard_normal((6, 4)))
         path = tmp_path / "x.bin"
         write_feature_bin(path, data)
-        fm = load_feature_matrix(
-            DatasetManifest(features=path, fmt="bin", block_shape=(3, 2))
-        )
+        fm = load_feature_matrix(path, block_shape=(3, 2))
         assert fm.block_shape == (3, 2)
 
 
