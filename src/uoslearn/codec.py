@@ -72,7 +72,7 @@ class Reader:
         self.source = path
         try:
             self._raw = Path(path).read_bytes()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise DataError(f"{path}: cannot read {what}: {exc}") from exc
         if self._raw[:4] != magic:
             raise DataError(f"{path}: not a {what} (bad magic)")

@@ -77,10 +77,12 @@ def svt(a, tau: float, alongside: Callable[[], None] | None = None) -> np.ndarra
         raise ValueError("tau must be nonnegative")
     if a.shape[1] > a.shape[0]:
         return svt(a.T, tau, alongside).T
-    _, exp = np.frexp(np.abs(a).max())
+    # max|a| without an N x N temporary of |a|.
+    _, exp = np.frexp(max(a.max(), -a.min()))
     scaled = np.ldexp(a, -exp)
     tau_scaled = np.ldexp(tau, -exp)
     gram = scaled.T @ scaled
+    del scaled
     if alongside is None or not one_blas_thread():
         if alongside is not None:
             alongside()
@@ -93,6 +95,7 @@ def svt(a, tau: float, alongside: Callable[[], None] | None = None) -> np.ndarra
             decomposition = pool.submit(np.linalg.eigh, gram)
             alongside()
         lam, v = decomposition.result()
+    del gram
     sigma = np.sqrt(np.maximum(lam, 0.0))
     keep = sigma > tau_scaled
     if not np.any(keep):
@@ -115,7 +118,13 @@ def elementwise_shrink(a, h, tau: float) -> np.ndarray:
     if np.any(h < 0):
         raise ValueError("threshold weights must be nonnegative")
     thr = tau * h
-    return np.maximum(a - thr, 0.0) + np.minimum(a + thr, 0.0)
+    out = np.subtract(a, thr)
+    np.maximum(out, 0.0, out=out)
+    # a + t and its minimum reuse the buffer of t.
+    np.add(a, thr, out=thr)
+    np.minimum(thr, 0.0, out=thr)
+    out += thr
+    return out
 
 
 def col_l21_prox(c, tau: float) -> np.ndarray:
@@ -187,18 +196,25 @@ def sym_eig_smallest(m, k: int) -> np.ndarray:
         raise DimensionError(f"matrix must be square, got {m.shape}")
     if not 1 <= k <= n:
         raise DimensionError(f"k must be in [1, {n}], got {k}")
-    if np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
+    # One private N x N buffer holds |m - m^T|, then the symmetrized copy.
+    sym = np.subtract(m, m.T)
+    np.abs(sym, out=sym)
+    if sym.max() > 1e-10 * max(1.0, m.max(), -m.min()):
         raise ValueError("matrix is not symmetric")
+    np.add(m, m.T, out=sym)
+    sym /= 2.0
     # m + m.T overflows for entries near the float64 limit, and LAPACK must see no inf.
-    sym = as_matrix((m + m.T) / 2.0, "symmetrized matrix")
+    as_matrix(sym, "symmetrized matrix")
     # Loaded here: only the beta > 0 F step needs SciPy's LAPACK wrappers.
     lapack = _flapack()
     lwork, liwork, info = lapack.dsyevr_lwork(n=n, lower=1)
     if info != 0:
         raise NumericalError(f"dsyevr workspace query failed (info={info})")
+    # sym is symmetric and private: its F-ordered transpose is the same
+    # matrix, which dsyevr may overwrite without a copy.
     _, vecs, found, _, info = lapack.dsyevr(
-        a=sym, compute_v=1, range="I", il=1, iu=k, lower=1,
-        lwork=int(lwork), liwork=int(liwork),
+        a=sym.T, compute_v=1, range="I", il=1, iu=k, lower=1,
+        lwork=int(lwork), liwork=int(liwork), overwrite_a=1,
     )
     if info != 0 or found != k:
         raise NumericalError(f"dsyevr failed (info={info}, {found} of {k} eigenpairs)")

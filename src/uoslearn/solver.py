@@ -213,11 +213,12 @@ def update_z(
     decomposition.
     """
     data = x.data
-    grad_over_mu = data.T @ (data @ state.z - data + state.e - state.g1 / state.mu)
-    grad_over_mu += state.z - state.q + state.g2 / state.mu
-    return svt(
-        state.z - grad_over_mu / state.eta, 1.0 / (state.eta * state.mu), alongside
-    )
+    # One N x N buffer goes from grad/mu to Z - grad/(eta*mu), in place.
+    step = data.T @ (data @ state.z - data + state.e - state.g1 / state.mu)
+    step += state.z - state.q + state.g2 / state.mu
+    step /= state.eta
+    np.subtract(state.z, step, out=step)
+    return svt(step, 1.0 / (state.eta * state.mu), alongside)
 
 
 def update_q(state: SolverState, weights: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -243,13 +244,21 @@ def update_f(state: SolverState, config: SolverConfig) -> tuple[np.ndarray, np.n
     theta_ij = 0.5*||f^i - f^j||^2 measures row disagreement of the
     embedding.
     """
-    absq = np.abs(state.q)
-    v = (absq.sum(axis=1) + absq.sum(axis=0)) / 2.0
-    m = np.diag(v) - (absq + absq.T) / 2.0
+    # M is built in the buffer of |Q|, in the order diag(v) - (|Q| + |Q^T|)/2
+    # would round it: 0 - w off the diagonal and -w_ii + v_i on it.
+    m = np.abs(state.q)
+    v = (m.sum(axis=1) + m.sum(axis=0)) / 2.0
+    m += m.T  # numpy reads the overlapping transpose from a copy
+    m /= 2.0
+    np.subtract(0.0, m, out=m)
+    m[np.diag_indices_from(m)] += v
     f = sym_eig_smallest(m, config.l_max)
+    del m
     sq = (f * f).sum(axis=1)
-    theta = (sq[:, None] + sq[None, :]) / 2.0 - f @ f.T
-    theta = np.maximum(theta, 0.0)
+    theta = np.add.outer(sq, sq)
+    theta /= 2.0
+    theta -= f @ f.T
+    np.maximum(theta, 0.0, out=theta)
     np.fill_diagonal(theta, 0.0)
     return f, theta
 
@@ -337,6 +346,8 @@ def cslrr_solve(
             raise NumericalError(f"non-finite iterate at iteration {state.t}")
         r1 = float(np.abs(r1_mat).max())
         r2 = float(np.abs(r2_mat).max())
+        # Not kept alive through the next iteration's SVT and F step.
+        del r1_mat, r2_mat
         state.residuals.append((r1, r2))
         state.t += 1
         if callback is not None:

@@ -80,6 +80,11 @@ class TestCodec:
         with pytest.raises(DataError, match=match):
             Reader(path, magic, version, "test file")
 
+    @pytest.mark.parametrize("name", ["missing.bin", "nul\0byte.bin"])
+    def test_unreadable_path(self, tmp_path, name):
+        with pytest.raises(DataError, match="cannot read test file"):
+            Reader(tmp_path / name, b"TEST", 3, "test file")
+
     def test_truncated_field(self, tmp_path):
         path = self.write(tmp_path, lambda w: w.fields("H", 1))
         with pytest.raises(DataError, match="truncated"):

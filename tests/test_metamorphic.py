@@ -1,4 +1,5 @@
-"""Invariances the maths gives, checked end to end through the CLI.
+"""Invariances the maths gives, checked end to end through the CLI where the
+relation is about a CLI output.
 
 For every classify mode:
 - reordering the training set changes no k-NN vote and no SVM decision, so
@@ -7,6 +8,12 @@ For every classify mode:
   the predictions and leaves the summary as it was;
 - leaf assignments enter the classifiers only through subspace distances, so
   permuting the bases in `leaves.bin` changes no prediction.
+
+For the beta = 0 methods (lrr, sclrr):
+- with columnwise errors, X enters the program only through X^T X, column
+  norms and |x_i . x_j|, so Z(UX) = Z(X) for an orthogonal U;
+- permuting the samples conjugates Z, so the sclrr `hierarchy` leaves hold
+  the same samples, up to a relabelling of the leaves.
 """
 
 import json
@@ -15,9 +22,13 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import random_orthonormal, unit_columns
 from uoslearn import datasets
 from uoslearn.cli import cli_main
+from uoslearn.hierarchy import read_tree
 from uoslearn.sequences import LeafSet
+from uoslearn.solver import FeatureMatrix, SolverConfig, cslrr_solve
+from uoslearn.synth import UosSynthConfig, generate_synthetic_uos
 
 WITHHELD = 2  # in test/ only, so the open-set modes have a class to reject
 
@@ -120,3 +131,105 @@ def test_predictions_permute_with_the_test_set(data_dirs, capsys, mode):
 def test_predictions_ignore_leaf_order(data_dirs, capsys, mode):
     given = classify_stdout(capsys, data_dirs["given"], mode)
     assert classify_stdout(capsys, data_dirs["leaves-permuted"], mode) == given
+
+
+def uos_sample(subspaces, points, seed) -> FeatureMatrix:
+    x, _ = generate_synthetic_uos(
+        UosSynthConfig(
+            m=20, subspaces=subspaces, dim=3, points_per_subspace=points, noise=0.05,
+            seed=seed,
+        )
+    )
+    return x
+
+
+def paired_sample(seed, m=20, d=3, points=12) -> FeatureMatrix:
+    """Four subspaces of dim d in two orthogonal pairs; the members of a pair
+    share one direction, so the first split of the tree is well posed."""
+    rng = np.random.default_rng(seed)
+    g = random_orthonormal(m, 4 * d - 2, rng)
+    bases = [
+        g[:, :d],
+        np.hstack([g[:, :1], g[:, d : 2 * d - 1]]),
+        g[:, 2 * d - 1 : 3 * d - 1],
+        np.hstack([g[:, 2 * d - 1 : 2 * d], g[:, 3 * d - 1 :]]),
+    ]
+    return FeatureMatrix(
+        unit_columns(np.hstack([b @ rng.standard_normal((d, points)) for b in bases]))
+    )
+
+
+# Found failing: the stopping test reads max|X - XZ - E|, which a rotation
+# changes, so the rotated lrr solve stops one iteration later.
+STOP_NOT_ROTATION_INVARIANT = pytest.mark.xfail(
+    strict=True,
+    reason="lrr stops after 117 iterations on X and 118 on UX: |dZ| = 7.3e-6",
+)
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [pytest.param(0.0, marks=STOP_NOT_ROTATION_INVARIANT), 1.0],
+    ids=["lrr", "sclrr"],
+)
+def test_z_ignores_a_rotation_of_the_samples(alpha):
+    x = uos_sample(3, 15, seed=2)
+    u = random_orthonormal(20, 20, np.random.default_rng(5))
+    cfg = SolverConfig(l_max=3, alpha=alpha, beta=0.0, lam=10.0)
+    given = cslrr_solve(x, cfg)
+    rotated = cslrr_solve(FeatureMatrix(u @ x.data), cfg)
+    assert given.converged and rotated.converged
+    assert np.abs(rotated.z - given.z).max() < 1e-8
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0], ids=["lrr", "sclrr"])
+def test_every_iterate_ignores_a_rotation_of_the_samples(alpha):
+    # The same relation with the stopping test out of play: 117 iterations each.
+    x = uos_sample(3, 15, seed=2)
+    u = random_orthonormal(20, 20, np.random.default_rng(5))
+    cfg = SolverConfig(
+        l_max=3, alpha=alpha, beta=0.0, lam=10.0, epsilon=1e-300, max_iters=117
+    )
+    given, rotated = [], []
+    cslrr_solve(x, cfg, callback=lambda st: given.append(st.z.copy()))
+    cslrr_solve(
+        FeatureMatrix(u @ x.data), cfg, callback=lambda st: rotated.append(st.z.copy())
+    )
+    assert len(given) == len(rotated) == 117
+    assert max(np.abs(a - b).max() for a, b in zip(given, rotated)) < 1e-8
+
+
+def hierarchy_leaf_labels(x: FeatureMatrix, root, name) -> np.ndarray:
+    datasets.write_feature_bin(root / f"{name}.bin", x.data)
+    code = cli_main([
+        "hierarchy", "--set", f"data={root / name}.bin", "--set", "method=sclrr",
+        "--set", "lambda=10", "--set", "levels=2", "--out", str(root / f"{name}.uost"),
+    ])
+    assert code == 0
+    return read_tree(root / f"{name}.uost").leaf_labels()
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        pytest.param(lambda: paired_sample(1), id="paired"),
+        # Found failing: the first split of four independent subspaces is
+        # ill posed, and the seeded k-means++ picks its centres by position.
+        pytest.param(
+            lambda: uos_sample(4, 12, seed=3),
+            id="independent",
+            marks=pytest.mark.xfail(
+                strict=True, reason="the level-1 split differs: 5 label pairs for 4 leaves"
+            ),
+        ),
+    ],
+)
+def test_sclrr_hierarchy_leaves_permute_with_the_samples(tmp_path, capsys, sample):
+    x = sample()
+    order = permutation(x.n_samples, 17)
+    labels = hierarchy_leaf_labels(x, tmp_path, "given")
+    permuted = hierarchy_leaf_labels(FeatureMatrix(x.data[:, order]), tmp_path, "permuted")
+    assert len(set(labels)) == 4
+    # The same partition up to relabelling: the label pairs form a bijection.
+    pairs = set(zip(labels[order].tolist(), permuted.tolist()))
+    assert len(pairs) == len(set(labels)) == len(set(permuted))

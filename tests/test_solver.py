@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,6 +444,80 @@ class TestEmbeddingStepSkippedAtBetaZero:
         # the last iteration's Theta, so its F update is skipped.
         assert len(calls) == (res.iterations - 1 if beta > 0 else 0)
         assert alongside == [False] + [beta > 0] * (res.iterations - 1)
+
+
+def random_state(rng, n, m=6):
+    """Nonzero random iterates at iteration 3 with their features, config and weights."""
+    x = FeatureMatrix(unit_columns(rng.standard_normal((m, n))))
+    cfg = small_config(l_max=3)
+    state = init_state(x, cfg)
+    state.z, state.q, state.g2 = (rng.standard_normal((n, n)) for _ in range(3))
+    state.theta = np.abs(rng.standard_normal((n, n)))
+    state.e, state.g1 = (rng.standard_normal((m, n)) for _ in range(2))
+    state.mu, state.t = 0.7, 3
+    return state, x, cfg, build_weight_matrix(x)
+
+
+STATE_ARRAYS = ("z", "q", "e", "g1", "g2", "theta")
+
+# Each step as (function, arguments) on a random state, features, config and weights.
+STEP_CALLS = {
+    "svt": lambda s, x, cfg, w: (svt, (s.z, 0.3)),
+    "svt-wide": lambda s, x, cfg, w: (svt, (x.data, 0.1)),
+    "sym_eig_smallest-C": lambda s, x, cfg, w: (
+        linalg.sym_eig_smallest, (s.z + s.z.T, 3)
+    ),
+    "sym_eig_smallest-F": lambda s, x, cfg, w: (
+        linalg.sym_eig_smallest, (np.asfortranarray(s.z + s.z.T), 3)
+    ),
+    "update_z": lambda s, x, cfg, w: (update_z, (s, x, cfg)),
+    "update_q": lambda s, x, cfg, w: (update_q, (s, w, cfg)),
+    "update_f": lambda s, x, cfg, w: (update_f, (s, cfg)),
+    "update_e": lambda s, x, cfg, w: (update_e, (s, x, cfg)),
+}
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestStepsLeaveTheirInputsUnchanged:
+    # The steps work in place only on private buffers; an `out=` or an
+    # `overwrite_a` aimed at an argument or at the state would show here.
+    @pytest.mark.parametrize("step", list(STEP_CALLS))
+    def test_arguments_and_state_bit_for_bit(self, rng, step):
+        state, x, cfg, weights = random_state(rng, 40)
+        func, args = STEP_CALLS[step](state, x, cfg, weights)
+        arrays = [a for a in (*args, x.data, weights) if isinstance(a, np.ndarray)]
+        given = [_bits(a) for a in arrays]
+        held = {name: _bits(getattr(state, name)) for name in STATE_ARRAYS}
+        func(*args)
+        assert [_bits(a) for a in arrays] == given
+        assert {name: _bits(getattr(state, name)) for name in STATE_ARRAYS} == held
+
+
+class TestWorkingSet:
+    """tracemalloc peaks of one F and one Z step, in N x N float64 arrays.
+
+    The peak counts the returned arrays. At N = 200, update_f peaks at 2.2
+    and update_z at 4.2 with M, Theta and Z - grad/eta built in place and
+    dead buffers dropped; allocating each intermediate afresh reads 4.2
+    and 7.2.
+    """
+
+    N = 200
+
+    @pytest.mark.parametrize("step, bound", [("update_f", 3.0), ("update_z", 5.0)])
+    def test_peak_within_bound(self, rng, step, bound):
+        func, args = STEP_CALLS[step](*random_state(rng, self.N))
+        func(*args)  # loads SciPy's LAPACK wrappers before anything is traced
+        tracemalloc.start()
+        try:
+            func(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (self.N * self.N * 8) < bound
 
 
 class TestOneBlasThread:
