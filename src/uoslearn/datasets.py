@@ -63,11 +63,16 @@ def read_feature_csv(path) -> np.ndarray:
                 [float(tok) for tok in first.replace(",", " ").split()]
             except ValueError:
                 skip = 1
-        rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        with warnings.catch_warnings():
+            # numpy warns on a file without rows; the check below rejects it.
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     except OSError as exc:  # a missing file, a directory, no permission
         raise DataError(f"{path}: cannot read feature CSV: {exc}") from exc
     except ValueError as exc:  # also a file that is not UTF-8 text
         raise DataError(f"{path}: malformed feature CSV: {exc}") from exc
+    if rows.size == 0:
+        raise DataError(f"{path}: no samples in feature CSV")
     _validate_entries(rows, path)  # report positions in file coordinates
     return rows.T  # samples become columns
 

@@ -97,11 +97,22 @@ def svt(a, tau: float, alongside: Callable[[], None] | None = None) -> np.ndarra
         lam, v = decomposition.result()
     del gram
     sigma = np.sqrt(np.maximum(lam, 0.0))
-    keep = sigma > tau_scaled
-    if not np.any(keep):
+    # eigh sorts ascending, so the kept pairs are the last k.
+    k = int(np.count_nonzero(sigma > tau_scaled))
+    if k == 0:
         return np.zeros_like(a)
-    v, sigma = v[:, keep], sigma[keep]
-    return ((a @ v) * ((sigma - tau_scaled) / sigma)) @ v.T
+    m, n = a.shape
+    # Both blocks are cut from buffers whose size does not depend on k, so
+    # the allocator reuses the same chunks on every call. v_k is
+    # column-major like v[:, keep]: a row-major copy moves the last bits of
+    # the products below.
+    v_k = np.empty(n * n)[: n * k].reshape(n, k, order="F")
+    v_k[...] = v[:, n - k:]
+    del v
+    sigma = sigma[n - k:]
+    av = np.matmul(a, v_k, out=np.empty(m * n)[: m * k].reshape(m, k))
+    av *= (sigma - tau_scaled) / sigma
+    return av @ v_k.T
 
 
 def elementwise_shrink(a, h, tau: float) -> np.ndarray:

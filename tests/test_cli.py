@@ -449,8 +449,11 @@ class TestCliErrors:
         assert "nu must be positive" in err
         assert records == []
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "target", ["labels", "boundaries", "csv", "csv-header", "missing-pred"]
+        "target",
+        ["labels", "boundaries", "csv", "csv-header", "csv-empty", "csv-header-only",
+         "missing-pred"],
     )
     def test_malformed_text_input_exits_2(
         self, tmp_path, uos_dataset, seq_dataset, capsys, target
@@ -470,8 +473,12 @@ class TestCliErrors:
             lines = bad.read_bytes().splitlines(keepends=True)
             if target == "csv":
                 lines[2] = b"1,two,0,0\n"
-            else:
+            elif target == "csv-header":
                 lines.insert(0, b"\xff\xfe not UTF-8\n")
+            elif target == "csv-empty":
+                lines = []
+            else:
+                lines = [b"f0,f1,f2,f3\n"]
             bad.write_bytes(b"".join(lines))
             argv = ["cluster", "--clusters", "2", "--set", f"data={bad}", "--set", "format=csv"]
         else:
@@ -480,6 +487,7 @@ class TestCliErrors:
         code, records, err = run_cli(capsys, *argv)
         assert code == 2
         assert str(bad) in err
+        assert len(err.splitlines()) == 1
         assert records == []
 
     @pytest.mark.parametrize("fmt", ["bin", "csv"])

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,72 @@ class TestSvtAlongsideThreadedBlas:
         with pytest.raises(ArithmeticError, match="from alongside"):
             svt(rng.standard_normal((20, 15)), 0.5, alongside=fail)
         assert events == []
+
+
+def svt_reference(a, tau):
+    """`svt` as it was when it built its result from arrays k columns wide."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[1] > a.shape[0]:
+        return svt_reference(a.T, tau).T
+    _, exp = np.frexp(max(a.max(), -a.min()))
+    scaled = np.ldexp(a, -exp)
+    tau_scaled = np.ldexp(tau, -exp)
+    gram = scaled.T @ scaled
+    del scaled
+    lam, v = np.linalg.eigh(gram)
+    del gram
+    sigma = np.sqrt(np.maximum(lam, 0.0))
+    keep = sigma > tau_scaled
+    if not np.any(keep):
+        return np.zeros_like(a)
+    v, sigma = v[:, keep], sigma[keep]
+    return ((a @ v) * ((sigma - tau_scaled) / sigma)) @ v.T
+
+
+class TestSvtMatchesReference:
+    """`svt` reconstructs from fixed-size, column-major blocks; the result must
+    match the k-wide reconstruction bit for bit, from k = 0 to k = n."""
+
+    SHAPES = [(1, 1), (2, 5), (5, 2), (17, 17), (31, 7), (60, 300), (300, 60),
+              (240, 240), (300, 300)]
+    TAUS = {
+        "zero": lambda s: 0.0,
+        "half-min": lambda s: s[-1] / 2,
+        "median": lambda s: float(np.median(s)),
+        "third": lambda s: s[len(s) // 3],
+        "above-max": lambda s: 1.01 * s[0],
+    }
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("tau_at", list(TAUS))
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_bit_identical(self, shape, tau_at, scale):
+        a = np.random.default_rng(shape[0] * 1000 + shape[1]).standard_normal(shape) * scale
+        tau = self.TAUS[tau_at](np.linalg.svd(a, compute_uv=False))
+        assert np.array_equal(svt(a, tau), svt_reference(a, tau))
+
+
+class TestSvtWorkingSet:
+    """The blocks `svt` reconstructs from have sizes that do not depend on the
+    rank k, so its tracemalloc peak is the same at every k > 0: 3.0 N x N at
+    N = 200, counting the result. Blocks k columns wide read 2.0 at k = 1
+    and 3.2 at k = N."""
+
+    N = 200
+
+    def test_peak_does_not_depend_on_rank(self):
+        a = np.random.default_rng(0).standard_normal((self.N, self.N))
+        sigma = np.linalg.svd(a, compute_uv=False)
+        peaks = []
+        for tau in (0.0, sigma[self.N // 3], sigma[1]):  # k = N, 2N/3, 1
+            tracemalloc.start()
+            try:
+                svt(a, tau)
+                peaks.append(tracemalloc.get_traced_memory()[1] / (self.N * self.N * 8))
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) - min(peaks) < 0.05, peaks
+        assert max(peaks) < 3.1, peaks
 
 
 class TestElementwiseShrink:

@@ -12,8 +12,9 @@ For every classify mode:
 For the beta = 0 methods (lrr, sclrr):
 - with columnwise errors, X enters the program only through X^T X, column
   norms and |x_i . x_j|, so Z(UX) = Z(X) for an orthogonal U;
-- permuting the samples conjugates Z, so the sclrr `hierarchy` leaves hold
-  the same samples, up to a relabelling of the leaves.
+- permuting the samples conjugates Z, so the `cluster` labels permute with
+  the samples up to a relabelling, with the same accuracy, and the sclrr
+  `hierarchy` leaves hold the same samples, up to a relabelling of the leaves.
 """
 
 import json
@@ -197,6 +198,47 @@ def test_every_iterate_ignores_a_rotation_of_the_samples(alpha):
     )
     assert len(given) == len(rotated) == 117
     assert max(np.abs(a - b).max() for a, b in zip(given, rotated)) < 1e-8
+
+
+def cluster_labels(x: FeatureMatrix, truth, root, name, method, capsys):
+    """The `cluster` labels and accuracy of x, run through the CLI."""
+    datasets.write_feature_bin(root / f"{name}.bin", x.data)
+    datasets.write_labels(root / f"{name}.txt", truth)
+    code = cli_main([
+        "cluster", "--clusters", str(len(set(truth.tolist()))), "--method", method,
+        "--set", f"data={root / name}.bin", "--set", f"labels={root / name}.txt",
+        "--set", "lambda=10",
+    ])
+    assert code == 0
+    cluster, accuracy = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    return np.array(cluster["labels"]), accuracy["value"]
+
+
+@pytest.mark.parametrize("method", ["lrr", "sclrr"])
+@pytest.mark.parametrize(
+    "synth",
+    [
+        UosSynthConfig(m=20, subspaces=3, dim=3, points_per_subspace=15, noise=0.05, seed=2),
+        # Overlapping and noisy, so that some samples are misclustered:
+        # accuracy 0.67 (lrr) and 0.96 (sclrr).
+        UosSynthConfig(
+            m=10, subspaces=4, dim=4, points_per_subspace=12, noise=0.3,
+            geometry="disjoint", seed=3,
+        ),
+    ],
+    ids=["independent", "disjoint-noisy"],
+)
+def test_cluster_labels_permute_with_the_samples(tmp_path, capsys, synth, method):
+    x, truth = generate_synthetic_uos(synth)
+    order = permutation(x.n_samples, 17)
+    labels, accuracy = cluster_labels(x, truth, tmp_path, "given", method, capsys)
+    permuted, permuted_accuracy = cluster_labels(
+        FeatureMatrix(x.data[:, order]), truth[order], tmp_path, "permuted", method, capsys
+    )
+    assert permuted_accuracy == accuracy
+    # The same partition up to relabelling: the label pairs form a bijection.
+    pairs = set(zip(labels[order].tolist(), permuted.tolist()))
+    assert len(pairs) == len(set(labels)) == len(set(permuted)) == synth.subspaces
 
 
 def hierarchy_leaf_labels(x: FeatureMatrix, root, name) -> np.ndarray:
