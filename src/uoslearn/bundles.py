@@ -126,76 +126,76 @@ def load_model_bundle(path):
     be exactly one per class pair (one-vs-one) or per class (one-vs-all).
     Scalars are range-checked as listed in the README's "File formats".
     """
-    reader = Reader(path, BUNDLE_MAGIC, BUNDLE_VERSION, "model bundle")
-    (kind,) = reader.fields("B")
-    if kind not in (KIND_KNN, KIND_KNN_OPEN, *_SVM_KINDS):
-        raise DataError(f"{path}: unknown bundle kind {kind}")
-    leaves = LeafSet(reader.matrices())
-    if kind in (KIND_KNN, KIND_KNN_OPEN):
-        k, varsigma, n_ceil = reader.fields("IdI")
-        ceilings = dict(reader.fields("id") for _ in range(n_ceil))
-        _check(path, k >= 1, "k must be >= 1")
-        _check(path, math.isfinite(varsigma), "varsigma must be finite")
-        _check(path, kind == KIND_KNN or varsigma > 1, "open-set varsigma must be > 1")
-        _check(path, all(map(math.isfinite, ceilings.values())), "ceilings must be finite")
-        (n_train,) = reader.fields("I")
-        train = []
-        for _ in range(n_train):
-            (label,) = reader.fields("i")
-            feats = reader.matrix()
-            if feats.shape[0] != leaves.ambient_dim:
-                raise DataError(f"{path}: training frames do not match the leaves")
-            psi = reader.indices(len(leaves))
-            train.append(SequenceSample(features=feats, label=label, assignment=psi))
-        labels = [s.label for s in train]
-        if ceilings and set(ceilings) != set(labels):
-            raise DataError(f"{path}: ceilings do not match the training classes")
-        model = KnnModel(
-            train=train,
-            k=k,
-            open_set=(kind == KIND_KNN_OPEN),
-            varsigma=varsigma,
-            ceilings=ceilings or None,
-        )
-    else:
-        nu, c, n_train = reader.fields("ddI")
-        _check(path, 0 < nu < math.inf, "nu must be positive and finite")
-        _check(path, 0 < c < math.inf, "c must be positive and finite")
-        labels = []
-        assignments = []
-        for _ in range(n_train):
-            labels.append(reader.fields("i")[0])
-            assignments.append(reader.indices(len(leaves)))
-        classes = sorted(set(labels))
-        # Stored (ca, cb) pair -> model key; one-vs-all stores cb = -1.
-        if kind == KIND_SVM_OVO:
-            keys = {pair: pair for pair in itertools.combinations(classes, 2)}
+    with Reader(path, BUNDLE_MAGIC, BUNDLE_VERSION, "model bundle") as reader:
+        (kind,) = reader.fields("B")
+        if kind not in (KIND_KNN, KIND_KNN_OPEN, *_SVM_KINDS):
+            raise DataError(f"{path}: unknown bundle kind {kind}")
+        leaves = LeafSet(reader.matrices())
+        if kind in (KIND_KNN, KIND_KNN_OPEN):
+            k, varsigma, n_ceil = reader.fields("IdI")
+            ceilings = dict(reader.fields("id") for _ in range(n_ceil))
+            _check(path, k >= 1, "k must be >= 1")
+            _check(path, math.isfinite(varsigma), "varsigma must be finite")
+            _check(path, kind == KIND_KNN or varsigma > 1, "open-set varsigma must be > 1")
+            _check(path, all(map(math.isfinite, ceilings.values())), "ceilings must be finite")
+            (n_train,) = reader.fields("I")
+            train = []
+            for _ in range(n_train):
+                (label,) = reader.fields("i")
+                feats = reader.matrix()
+                if feats.shape[0] != leaves.ambient_dim:
+                    raise DataError(f"{path}: training frames do not match the leaves")
+                psi = reader.indices(len(leaves))
+                train.append(SequenceSample(features=feats, label=label, assignment=psi))
+            labels = [s.label for s in train]
+            if ceilings and set(ceilings) != set(labels):
+                raise DataError(f"{path}: ceilings do not match the training classes")
+            model = KnnModel(
+                train=train,
+                k=k,
+                open_set=(kind == KIND_KNN_OPEN),
+                varsigma=varsigma,
+                ceilings=ceilings or None,
+            )
         else:
-            keys = {(ci, -1): ci for ci in classes}
-        (n_models,) = reader.fields("I")
-        models = {}
-        for _ in range(n_models):
-            ca, cb, bias = reader.fields("iid")
-            if (ca, cb) not in keys:
-                raise DataError(f"{path}: binary model ({ca}, {cb}) does not fit the bundle")
-            idx = reader.indices(n_train)
-            alpha = reader.array("<f8", len(idx))
-            y = reader.array("<f8", len(idx))
-            _check(path, np.isfinite([bias, *alpha]).all(), "bias and alpha must be finite")
-            _check(path, (np.abs(y) == 1).all(), "signs y must be +/-1")
-            models[keys[ca, cb]] = (BinarySvmModel(alpha=alpha, y=y, bias=bias), idx)
-        if len(models) != len(keys):
-            raise DataError(f"{path}: bundle lacks binary models")
-        model = MulticlassSvmModel(
-            mode=_SVM_KINDS[kind],
-            classes=classes,
-            train_assignments=assignments,
-            labels=np.asarray(labels, dtype=int),
-            nu=nu,
-            c=c,
-            models=models,
-        )
-    reader.done()
+            nu, c, n_train = reader.fields("ddI")
+            _check(path, 0 < nu < math.inf, "nu must be positive and finite")
+            _check(path, 0 < c < math.inf, "c must be positive and finite")
+            labels = []
+            assignments = []
+            for _ in range(n_train):
+                labels.append(reader.fields("i")[0])
+                assignments.append(reader.indices(len(leaves)))
+            classes = sorted(set(labels))
+            # Stored (ca, cb) pair -> model key; one-vs-all stores cb = -1.
+            if kind == KIND_SVM_OVO:
+                keys = {pair: pair for pair in itertools.combinations(classes, 2)}
+            else:
+                keys = {(ci, -1): ci for ci in classes}
+            (n_models,) = reader.fields("I")
+            models = {}
+            for _ in range(n_models):
+                ca, cb, bias = reader.fields("iid")
+                if (ca, cb) not in keys:
+                    raise DataError(f"{path}: binary model ({ca}, {cb}) does not fit the bundle")
+                idx = reader.indices(n_train)
+                alpha = reader.array("<f8", len(idx))
+                y = reader.array("<f8", len(idx))
+                _check(path, np.isfinite([bias, *alpha]).all(), "bias and alpha must be finite")
+                _check(path, (np.abs(y) == 1).all(), "signs y must be +/-1")
+                models[keys[ca, cb]] = (BinarySvmModel(alpha=alpha, y=y, bias=bias), idx)
+            if len(models) != len(keys):
+                raise DataError(f"{path}: bundle lacks binary models")
+            model = MulticlassSvmModel(
+                mode=_SVM_KINDS[kind],
+                classes=classes,
+                train_assignments=assignments,
+                labels=np.asarray(labels, dtype=int),
+                nu=nu,
+                c=c,
+                models=models,
+            )
+        reader.done()
     if not labels:
         raise DataError(f"{path}: bundle holds no training sequences")
     return leaves, model, kind

@@ -3,15 +3,17 @@
 Every file starts with a 4-byte magic and a u32 version. The fields after
 it are little-endian `struct` fields, typed arrays, index arrays (u32
 count, then u32 entries) and counted float64 matrices (u32 count, then
-per matrix u32 rows, u32 cols and the row-major data). The reader checks
-every field against the bytes that remain, every index against its bound,
-and that nothing follows the last field; each failure, an unreadable
-file included, is a DataError, as is a path `write_file` or `make_dir`
-cannot write.
+per matrix u32 rows, u32 cols and the row-major data). The reader reads
+each field from the open file in one pass, so a load holds one copy of
+the payload. It checks every declared size against the bytes that remain
+before it allocates, every index against its bound, and that nothing
+follows the last field; each failure, an unreadable file included, is a
+DataError, as is a path `write_file` or `make_dir` cannot write.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -20,10 +22,13 @@ import numpy as np
 from .errors import DataError
 
 
-def write_file(path, data: bytes) -> None:
-    """Write `data` to `path`; an unwritable path is a DataError naming it."""
+def write_file(path, *parts) -> None:
+    """Write `parts` (bytes, or C-contiguous arrays) to `path` one after
+    another; an unwritable path is a DataError naming it."""
     try:
-        Path(path).write_bytes(data)
+        with open(path, "wb") as fh:
+            for part in parts:
+                fh.write(part)
     except OSError as exc:
         raise DataError(f"{path}: cannot write: {exc}") from exc
 
@@ -37,7 +42,7 @@ def make_dir(path) -> None:
 
 
 class Writer:
-    """Collects one file's fields in memory; `save` writes them out."""
+    """Collects one file's fields; `save` writes them out one after another."""
 
     def __init__(self, magic: bytes, version: int):
         self._parts = [magic, struct.pack("<I", version)]
@@ -46,7 +51,9 @@ class Writer:
         self._parts.append(struct.pack("<" + fmt, *values))
 
     def array(self, values, dtype: str) -> None:
-        self._parts.append(np.ascontiguousarray(values, dtype=dtype).tobytes())
+        """Append `values`; an array already C-contiguous in `dtype` is not
+        copied, so it must not change before `save`."""
+        self._parts.append(np.ascontiguousarray(values, dtype=dtype))
 
     def indices(self, values) -> None:
         self.fields("I", len(values))
@@ -62,44 +69,76 @@ class Writer:
         self.array(mat, "<f8")
 
     def save(self, path) -> None:
-        write_file(path, b"".join(self._parts))
+        write_file(path, *self._parts)
 
 
 class Reader:
-    """Reads one whole file, checking its magic and version on open."""
+    """Reads one file field by field, checking its magic and version on open.
+
+    The file is closed by `done`, by every error the reader raises, and on
+    leaving a `with` block, so a caller whose own check fails partway
+    through the file closes it by reading inside `with`.
+    """
 
     def __init__(self, path, magic: bytes, version: int, what: str):
         self.source = path
         try:
-            self._raw = Path(path).read_bytes()
+            self._file = open(path, "rb")
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise DataError(f"{path}: cannot read {what}: {exc}") from exc
-        if self._raw[:4] != magic:
-            raise DataError(f"{path}: not a {what} (bad magic)")
+        self._size = os.fstat(self._file.fileno()).st_size
+        if self._file.read(4) != magic:
+            self._fail(f"not a {what} (bad magic)")
         self._pos = 4
         (found,) = self.fields("I")
         if found != version:
-            raise DataError(f"{path}: unsupported {what} version {found}")
+            self._fail(f"unsupported {what} version {found}")
 
-    def _take(self, size: int) -> int:
-        start = self._pos
-        if size > len(self._raw) - start:
-            raise DataError(
-                f"{self.source}: truncated: {size} bytes needed at offset {start}, "
-                f"{len(self._raw) - start} left"
-            )
+    def __enter__(self) -> Reader:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._file.close()
+
+    def _fail(self, message: str):
+        self.close()
+        raise DataError(f"{self.source}: {message}")
+
+    def need(self, size: int) -> None:
+        """Raise a truncation DataError unless `size` bytes remain; reads nothing."""
+        if size > self._size - self._pos:
+            self._truncated(size, self._size - self._pos)
+
+    def _truncated(self, size: int, left: int):
+        self._fail(f"truncated: {size} bytes needed at offset {self._pos}, {left} left")
+
+    def _advance(self, got: int, size: int) -> None:
+        if got != size:  # the file shrank after it was opened
+            self._truncated(size, got)
         self._pos += size
-        return start
 
     def fields(self, fmt: str) -> tuple:
         fmt = "<" + fmt
-        return struct.unpack_from(fmt, self._raw, self._take(struct.calcsize(fmt)))
+        size = struct.calcsize(fmt)
+        self.need(size)
+        data = self._file.read(size)
+        self._advance(len(data), size)
+        return struct.unpack(fmt, data)
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Read the next `out.nbytes` bytes into the C-contiguous array `out`."""
+        self.need(out.nbytes)
+        self._advance(self._file.readinto(out), out.nbytes)
+        return out
 
     def array(self, dtype: str, count: int) -> np.ndarray:
-        """A C-contiguous copy of `count` values."""
+        """`count` values read into a new C-contiguous array."""
         dtype = np.dtype(dtype)
-        start = self._take(dtype.itemsize * count)
-        return np.frombuffer(self._raw, dtype, count, start).copy()
+        self.need(dtype.itemsize * count)
+        return self.fill(np.empty(count, dtype))
 
     def indices(self, bound: int, count: int | None = None) -> np.ndarray:
         """Index array with every entry below `bound`; reads a u32 count if none is given."""
@@ -107,7 +146,7 @@ class Reader:
             (count,) = self.fields("I")
         idx = self.array("<u4", count).astype(int)
         if count and idx.max() >= bound:
-            raise DataError(f"{self.source}: index {idx.max()} out of range [0, {bound})")
+            self._fail(f"index {idx.max()} out of range [0, {bound})")
         return idx
 
     def matrices(self) -> list[np.ndarray]:
@@ -119,8 +158,7 @@ class Reader:
         return self.array("<f8", rows * cols).reshape(rows, cols)
 
     def done(self) -> None:
-        if self._pos != len(self._raw):
-            raise DataError(
-                f"{self.source}: {len(self._raw) - self._pos} trailing bytes "
-                f"after offset {self._pos}"
-            )
+        """Check that no bytes follow the last field read, and close the file."""
+        if self._pos != self._size:
+            self._fail(f"{self._size - self._pos} trailing bytes after offset {self._pos}")
+        self.close()

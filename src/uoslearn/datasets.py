@@ -31,6 +31,7 @@ LEAVES_MAGIC = b"UOSL"
 FORMAT_VERSION = 1
 
 NORM_WARN_TOL = 1e-6
+BLOCK_BYTES = 8192
 
 
 def _validate_entries(data: np.ndarray, source) -> None:
@@ -49,7 +50,8 @@ def _normalize_columns(data: np.ndarray, source) -> np.ndarray:
         warnings.warn(
             f"{source}: columns renormalized to unit l2 norm", stacklevel=3
         )
-    return data / norms
+    data /= norms  # in place: the same bits as data / norms
+    return data
 
 
 def read_feature_csv(path) -> np.ndarray:
@@ -74,14 +76,25 @@ def read_feature_csv(path) -> np.ndarray:
     if rows.size == 0:
         raise DataError(f"{path}: no samples in feature CSV")
     _validate_entries(rows, path)  # report positions in file coordinates
-    return rows.T  # samples become columns
+    # Samples become columns, C-ordered as `read_feature_bin` returns them:
+    # the column norms then sum in the same order, and load to the same bits.
+    return np.ascontiguousarray(rows.T)
 
 
 def read_feature_bin(path) -> np.ndarray:
-    reader = Reader(path, FEATURE_MAGIC, FORMAT_VERSION, "feature binary")
-    m, n = reader.fields("II")
-    data = np.ascontiguousarray(reader.array("<f8", m * n).reshape(n, m).T)
-    reader.done()
+    """The m x N matrix of a feature binary, C-ordered. The column-by-column
+    payload is read in blocks of BLOCK_BYTES (at least one sample), so the
+    load holds the matrix and one block, not a copy of the file."""
+    with Reader(path, FEATURE_MAGIC, FORMAT_VERSION, "feature binary") as reader:
+        m, n = reader.fields("II")
+        reader.need(8 * m * n)  # before the matrix is allocated
+        data = np.empty((m, n))
+        if m:
+            block = np.empty((max(1, BLOCK_BYTES // (8 * m)), m))
+            for start in range(0, n, len(block)):
+                samples = reader.fill(block[: n - start])
+                data[:, start : start + len(samples)] = samples.T
+        reader.done()
     _validate_entries(data, path)
     return data
 
@@ -155,9 +168,9 @@ def save_leaves(path, leaves: LeafSet) -> None:
 
 
 def load_leaves(path) -> LeafSet:
-    reader = Reader(path, LEAVES_MAGIC, FORMAT_VERSION, "leaf-basis file")
-    bases = reader.matrices()
-    reader.done()
+    with Reader(path, LEAVES_MAGIC, FORMAT_VERSION, "leaf-basis file") as reader:
+        bases = reader.matrices()
+        reader.done()
     return LeafSet(bases)
 
 

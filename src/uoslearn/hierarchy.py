@@ -260,26 +260,26 @@ def write_tree(tree: HierarchyTree, path) -> None:
 
 def read_tree(path) -> HierarchyTree:
     """Load a tree, rejecting node ids out of order and out-of-range children or samples."""
-    reader = Reader(path, TREE_MAGIC, TREE_VERSION, "hierarchy tree")
-    n_nodes, max_level, converged, iters, n_samples = reader.fields("IIBII")
-    nodes = []
-    for position in range(n_nodes):
-        node_id, level, divisible, n_kids = reader.fields("IIBB")
-        if node_id != position or n_kids not in (0, 2):
-            raise DataError(f"{path}: malformed node record {position}")
-        kids = tuple(reader.indices(n_nodes, n_kids).tolist())
-        indices = reader.indices(n_samples)
-        basis = reader.matrix()
-        nodes.append(
-            SubspaceNode(
-                node_id=node_id,
-                level=level,
-                indices=indices,
-                basis=basis,
-                dim=basis.shape[1],
-                divisible=bool(divisible),
-                children=kids or None,
+    with Reader(path, TREE_MAGIC, TREE_VERSION, "hierarchy tree") as reader:
+        n_nodes, max_level, converged, iters, n_samples = reader.fields("IIBII")
+        nodes = []
+        for position in range(n_nodes):
+            node_id, level, divisible, n_kids = reader.fields("IIBB")
+            if node_id != position or n_kids not in (0, 2):
+                raise DataError(f"{path}: malformed node record {position}")
+            kids = tuple(reader.indices(n_nodes, n_kids).tolist())
+            indices = reader.indices(n_samples)
+            basis = reader.matrix()
+            nodes.append(
+                SubspaceNode(
+                    node_id=node_id,
+                    level=level,
+                    indices=indices,
+                    basis=basis,
+                    dim=basis.shape[1],
+                    divisible=bool(divisible),
+                    children=kids or None,
+                )
             )
-        )
-    reader.done()
+        reader.done()
     return HierarchyTree(nodes, max_level, n_samples, bool(converged), iters)

@@ -3,6 +3,9 @@
 Each format test builds the expected bytes by hand with `struct.pack`,
 following the layout files have always had, so files written before the
 codec existed keep loading and new files stay readable by old readers.
+Each also writes its file with `JoinWriter`, the writer that joined every
+field into one `bytes` object before writing it, and requires the same
+bytes from the streaming `Writer`.
 """
 
 import struct
@@ -21,7 +24,8 @@ from uoslearn.bundles import (
     load_model_bundle,
     save_model_bundle,
 )
-from uoslearn.codec import Reader, Writer
+from uoslearn import bundles, codec, datasets, hierarchy
+from uoslearn.codec import Reader, Writer, write_file
 from uoslearn.datasets import load_leaves, read_feature_bin, save_leaves, write_feature_bin
 from uoslearn.errors import DataError
 from uoslearn.hierarchy import HierarchyTree, SubspaceNode, read_tree, write_tree
@@ -42,6 +46,60 @@ def leaf_bytes(bases):
     for b in bases:
         out += struct.pack("<II", *b.shape) + f8(b)
     return out
+
+
+class JoinWriter:
+    """The reference writer: every field becomes bytes, joined at `save`."""
+
+    def __init__(self, magic: bytes, version: int):
+        self._parts = [magic, struct.pack("<I", version)]
+
+    def fields(self, fmt: str, *values) -> None:
+        self._parts.append(struct.pack("<" + fmt, *values))
+
+    def array(self, values, dtype: str) -> None:
+        self._parts.append(np.ascontiguousarray(values, dtype=dtype).tobytes())
+
+    def indices(self, values) -> None:
+        self.fields("I", len(values))
+        self.array(values, "<u4")
+
+    def matrices(self, mats) -> None:
+        self.fields("I", len(mats))
+        for mat in mats:
+            self.matrix(mat)
+
+    def matrix(self, mat) -> None:
+        self.fields("II", *np.shape(mat))
+        self.array(mat, "<f8")
+
+    def save(self, path) -> None:
+        write_file(path, b"".join(self._parts))
+
+
+def written(monkeypatch, path, save):
+    """Run `save(path)`, check that `JoinWriter` writes the same bytes, and return `path`."""
+    save(path)
+    reference = path.with_suffix(".join")
+    with monkeypatch.context() as patch:
+        for module in (bundles, datasets, hierarchy):
+            patch.setattr(module, "Writer", JoinWriter)
+        save(reference)
+    assert path.read_bytes() == reference.read_bytes()
+    return path
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file object the codec opens, in order."""
+    files = []
+
+    def recording_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(codec, "open", recording_open, raising=False)
+    return files
 
 
 @pytest.fixture
@@ -75,10 +133,11 @@ class TestCodec:
     @pytest.mark.parametrize(
         "magic, version, match", [(b"NOPE", 3, "bad magic"), (b"TEST", 4, "version")]
     )
-    def test_header_checked(self, tmp_path, magic, version, match):
+    def test_header_checked(self, tmp_path, opened, magic, version, match):
         path = self.write(tmp_path, lambda w: None)
         with pytest.raises(DataError, match=match):
             Reader(path, magic, version, "test file")
+        assert opened and all(fh.closed for fh in opened)
 
     @pytest.mark.parametrize("name", ["missing.bin", "nul\0byte.bin"])
     def test_unreadable_path(self, tmp_path, name):
@@ -108,28 +167,100 @@ class TestCodec:
             reader.done()
 
 
+    def test_file_closed_by_done(self, tmp_path, opened):
+        path = self.write(tmp_path, lambda w: w.indices([0]))
+        reader = Reader(path, b"TEST", 3, "test file")
+        reader.indices(1)
+        reader.done()
+        assert opened[-1].closed
+
+    @pytest.mark.parametrize(
+        "read, match",
+        [
+            pytest.param(lambda r: r.fields("III"), "truncated", id="field"),
+            pytest.param(lambda r: r.array("<f8", 2**32), "truncated", id="array"),
+            pytest.param(lambda r: r.indices(0), "out of range", id="index"),
+            pytest.param(Reader.done, "trailing", id="trailing"),
+        ],
+    )
+    def test_file_closed_by_a_reader_error(self, tmp_path, opened, read, match):
+        path = self.write(tmp_path, lambda w: w.indices([0]))
+        reader = Reader(path, b"TEST", 3, "test file")
+        with pytest.raises(DataError, match=match):
+            read(reader)
+        assert opened[-1].closed
+
+    def test_file_closed_when_a_caller_check_raises_partway(self, tmp_path, opened):
+        path = self.write(tmp_path, lambda w: w.fields("II", 0, 7))
+        with pytest.raises(DataError, match="caller"):
+            with Reader(path, b"TEST", 3, "test file") as reader:
+                reader.fields("I")
+                raise DataError("a caller's check")
+        assert opened[-1].closed
+
+    def test_fill_reads_into_the_given_array(self, tmp_path):
+        mat = np.arange(6.0).reshape(3, 2)
+        path = self.write(tmp_path, lambda w: w.array(mat, "<f8"))
+        reader = Reader(path, b"TEST", 3, "test file")
+        out = np.empty((2, 2))
+        assert reader.fill(out) is out
+        assert out.tobytes() == mat[:2].tobytes()
+        with pytest.raises(DataError, match="truncated: 32 bytes needed at offset 40, 16 left"):
+            reader.fill(out)
+
+
+class TestLoadersCloseTheirFiles:
+    """A loader's own check that fails partway through a file closes it."""
+
+    def test_tree_with_a_malformed_node(self, tmp_path, opened):
+        path = tmp_path / "tree.uost"
+        path.write_bytes(
+            b"UOST" + struct.pack("<IIIBII", 1, 2, 1, 1, 0, 4) + struct.pack("<IIBB", 5, 1, 0, 0)
+        )
+        with pytest.raises(DataError, match="malformed node record 0"):
+            read_tree(path)
+        assert opened[-1].closed
+
+    @pytest.mark.parametrize(
+        "tail, match",
+        [
+            pytest.param(struct.pack("<IdI", 0, 1.5, 0), "k must be >= 1", id="k"),
+            pytest.param(
+                struct.pack("<IdIid", 1, 1.5, 1, 0, np.inf), "finite", id="ceiling"
+            ),
+        ],
+    )
+    def test_bundle_with_a_bad_scalar(self, tmp_path, opened, leaves, tail, match):
+        path = tmp_path / "knn.uosm"
+        path.write_bytes(
+            b"UOSM" + struct.pack("<IB", 1, KIND_KNN) + leaf_bytes(leaves.bases) + tail
+            + struct.pack("<I", 0)
+        )
+        with pytest.raises(DataError, match=match):
+            load_model_bundle(path)
+        assert opened[-1].closed
+
+
 class TestFormatLayout:
-    def test_feature_file(self, tmp_path, rng):
+    def test_feature_file(self, tmp_path, rng, monkeypatch):
         data = rng.standard_normal((4, 3))
         expected = b"UOSF" + struct.pack("<III", 1, 4, 3) + data.tobytes(order="F")
-        path = tmp_path / "x.bin"
-        write_feature_bin(path, data)
+        path = written(monkeypatch, tmp_path / "x.bin", lambda p: write_feature_bin(p, data))
         assert path.read_bytes() == expected
         loaded = read_feature_bin(path)
         assert loaded.flags.c_contiguous
         assert loaded.tobytes() == data.tobytes()
 
-    def test_leaf_file(self, tmp_path, leaves):
+    def test_leaf_file(self, tmp_path, leaves, monkeypatch):
         expected = b"UOSL" + struct.pack("<II", 1, 2)
         for b in leaves.bases:
             expected += struct.pack("<II", *b.shape) + f8(b)
-        path = tmp_path / "leaves.bin"
-        save_leaves(path, leaves)
+        path = written(monkeypatch, tmp_path / "leaves.bin", lambda p: save_leaves(p, leaves))
         assert path.read_bytes() == expected
         for a, b in zip(load_leaves(path).bases, leaves.bases):
             assert a.tobytes() == b.tobytes()
 
-    def test_tree_file(self, tmp_path, rng):
+    def test_tree_file(self, tmp_path, rng, monkeypatch):
         bases = [random_orthonormal(5, d, rng) for d in (3, 2, 1)]
         nodes = [
             SubspaceNode(0, 1, np.arange(6), bases[0], 3, True, (1, 2)),
@@ -146,8 +277,7 @@ class TestFormatLayout:
             )
             expected += struct.pack("<I", n.size) + u4(n.indices)
             expected += struct.pack("<II", *n.basis.shape) + f8(n.basis)
-        path = tmp_path / "tree.uost"
-        write_tree(tree, path)
+        path = written(monkeypatch, tmp_path / "tree.uost", lambda p: write_tree(tree, p))
         assert path.read_bytes() == expected
         loaded = read_tree(path)
         assert (loaded.max_level, loaded.n_samples) == (2, 6)
@@ -159,7 +289,7 @@ class TestFormatLayout:
             assert a.basis.tobytes() == b.basis.tobytes()
 
     @pytest.mark.parametrize("open_set", [False, True])
-    def test_knn_bundle(self, tmp_path, rng, leaves, open_set):
+    def test_knn_bundle(self, tmp_path, rng, leaves, open_set, monkeypatch):
         train = [
             SequenceSample(unit_columns(rng.standard_normal((5, n))), lbl, np.arange(n) % 2)
             for n, lbl in ((2, 0), (3, 4), (1, 4))
@@ -177,8 +307,9 @@ class TestFormatLayout:
             expected += struct.pack("<i", s.label)
             expected += struct.pack("<II", *s.features.shape) + f8(s.features)
             expected += struct.pack("<I", s.length) + u4(s.assignment)
-        path = tmp_path / "knn.uosm"
-        save_model_bundle(path, leaves, model)
+        path = written(
+            monkeypatch, tmp_path / "knn.uosm", lambda p: save_model_bundle(p, leaves, model)
+        )
         assert path.read_bytes() == expected
         _, loaded, loaded_kind = load_model_bundle(path)
         assert loaded_kind == kind
@@ -189,7 +320,7 @@ class TestFormatLayout:
             assert np.array_equal(a.assignment, b.assignment)
 
     @pytest.mark.parametrize("kind", [KIND_SVM_OVO, KIND_SVM_OVA, KIND_SVM_OPEN])
-    def test_svm_bundle(self, tmp_path, leaves, kind):
+    def test_svm_bundle(self, tmp_path, leaves, kind, monkeypatch):
         labels = np.array([1, 1, 3, 3, 6])
         assignments = [np.array([0, 1]), np.array([1]), np.array([0]), np.array([1, 1]),
                        np.array([0, 0, 1])]
@@ -215,8 +346,11 @@ class TestFormatLayout:
             ca, cb = key if isinstance(key, tuple) else (key, -1)
             expected += struct.pack("<iid", ca, cb, binary.bias)
             expected += struct.pack("<I", len(idx)) + u4(idx) + f8(binary.alpha) + f8(binary.y)
-        path = tmp_path / "svm.uosm"
-        save_model_bundle(path, leaves, model, open_set=(kind == KIND_SVM_OPEN))
+        path = written(
+            monkeypatch,
+            tmp_path / "svm.uosm",
+            lambda p: save_model_bundle(p, leaves, model, open_set=(kind == KIND_SVM_OPEN)),
+        )
         assert path.read_bytes() == expected
         _, loaded, loaded_kind = load_model_bundle(path)
         assert loaded_kind == kind

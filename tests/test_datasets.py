@@ -1,10 +1,15 @@
 import re
+import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import unit_columns
+from uoslearn.cli import cli_main
 from uoslearn.datasets import (
+    BLOCK_BYTES,
     load_boundaries,
     load_feature_matrix,
     load_labels,
@@ -19,7 +24,24 @@ from uoslearn.datasets import (
 )
 from uoslearn.errors import ConfigError, DataError
 from uoslearn.sequences import LeafSet, SequenceSample
-from uoslearn.synth import SequenceSynthConfig, generate_synthetic_sequences
+from uoslearn.synth import (
+    SequenceSynthConfig,
+    UosSynthConfig,
+    generate_synthetic_sequences,
+    generate_synthetic_uos,
+)
+
+
+def one_shot_feature_bin(path) -> np.ndarray:
+    """The reference reader: the whole file as bytes, then a transposed copy."""
+    raw = Path(path).read_bytes()
+    m, n = struct.unpack_from("<II", raw, 8)
+    return np.ascontiguousarray(np.frombuffer(raw, "<f8", m * n, 16).copy().reshape(n, m).T)
+
+
+def one_shot_normalized(path) -> np.ndarray:
+    data = one_shot_feature_bin(path)
+    return data / np.linalg.norm(data, axis=0)
 
 
 class TestBinaryFormat:
@@ -50,6 +72,78 @@ class TestBinaryFormat:
         with pytest.raises(DataError):
             read_feature_bin(path)
 
+    def test_huge_header_rejected_before_allocating(self, tmp_path, capsys):
+        path = tmp_path / "features.bin"
+        path.write_bytes(b"UOSF" + struct.pack("<III", 1, 2**32 - 1, 2**32 - 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="truncated"):
+                load_feature_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert cli_main(["cluster", "--clusters", "2", "--set", f"data={path}"]) == 2
+        assert "truncated" in capsys.readouterr().err
+
+
+class TestStreamedLoad:
+    """The block-by-block load gives the one-shot reader's matrix, bit for bit."""
+
+    PER_BLOCK = BLOCK_BYTES // 8  # float64 values in one block
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            (60, 3 * (PER_BLOCK // 60) + 5),  # n not a multiple of the block's samples
+            (PER_BLOCK + 3, 4),  # one sample larger than a block
+            (1, 2 * PER_BLOCK + 7),
+            (60, 1),
+            (1, 1),
+            (5, 0),
+        ],
+    )
+    def test_matches_one_shot_reader(self, tmp_path, rng, m, n):
+        path = tmp_path / "x.bin"
+        write_feature_bin(path, rng.standard_normal((m, n)))
+        loaded = read_feature_bin(path)
+        assert loaded.flags.c_contiguous
+        assert loaded.shape == (m, n)
+        assert loaded.tobytes() == one_shot_feature_bin(path).tobytes()
+        if n:
+            with pytest.warns(UserWarning, match="renormalized"):
+                fm = load_feature_matrix(path)
+            assert fm.data.tobytes() == one_shot_normalized(path).tobytes()
+
+    def test_sequence_dataset_matches_one_shot_reader(self, tmp_path):
+        cfg = SequenceSynthConfig(
+            m=60, leaves=4, leaf_dim=3, classes=3, sequences_per_class=10, seed=2
+        )
+        samples, _ = generate_synthetic_sequences(cfg)
+        save_sequence_dataset(tmp_path, samples)
+        reference = one_shot_normalized(tmp_path / "features.bin")
+        assert reference.shape[1] > 2 * (BLOCK_BYTES // (8 * 60))
+        loaded = load_sequence_dataset(tmp_path)
+        start = 0
+        for sample in loaded:
+            end = start + sample.length
+            assert sample.features.tobytes() == reference[:, start:end].tobytes()
+            start = end
+        assert start == reference.shape[1]
+
+    def test_load_peak_is_one_payload_and_the_norm_temporary(self, tmp_path, rng):
+        m, n = 60, 8000
+        path = tmp_path / "x.bin"
+        write_feature_bin(path, unit_columns(rng.standard_normal((m, n))))
+        tracemalloc.start()
+        try:
+            fm = load_feature_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fm.data.shape == (m, n)
+        assert peak <= 2.1 * (8 * m * n)
+
 
 class TestLoader:
     def test_csv_identity(self, tmp_path):
@@ -57,6 +151,17 @@ class TestLoader:
         path.write_text("1,0\n0,1\n")
         fm = load_feature_matrix(path, "csv")
         assert np.array_equal(fm.data, np.eye(2))
+
+    def test_csv_copy_loads_to_the_binary_bits(self, tmp_path):
+        fm, _ = generate_synthetic_uos(
+            UosSynthConfig(m=60, subspaces=5, dim=5, points_per_subspace=40, noise=0.1, seed=1)
+        )
+        write_feature_bin(tmp_path / "features.bin", fm.data)
+        rows = np.fromfile(tmp_path / "features.bin", "<f8", offset=16).reshape(-1, 60)
+        np.savetxt(tmp_path / "features.csv", rows, delimiter=",")
+        from_csv = load_feature_matrix(tmp_path / "features.csv", "csv").data
+        assert from_csv.flags.c_contiguous
+        assert from_csv.tobytes() == load_feature_matrix(tmp_path / "features.bin").data.tobytes()
 
     def test_csv_header_skipped(self, tmp_path):
         path = tmp_path / "x.csv"
