@@ -5,7 +5,8 @@ it are little-endian `struct` fields, typed arrays, index arrays (u32
 count, then u32 entries) and counted float64 matrices (u32 count, then
 per matrix u32 rows, u32 cols and the row-major data). The reader reads
 each field from the open file in one pass, so a load holds one copy of
-the payload. It checks every declared size against the bytes that remain
+the payload; a pipe, which has no size until it is read, is read whole
+first. It checks every declared size against the bytes that remain
 before it allocates, every index against its bound, and that nothing
 follows the last field; each failure, an unreadable file included, is a
 DataError, as is a path `write_file` or `make_dir` cannot write.
@@ -13,7 +14,9 @@ DataError, as is a path `write_file` or `make_dir` cannot write.
 
 from __future__ import annotations
 
+import io
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -84,9 +87,15 @@ class Reader:
         self.source = path
         try:
             self._file = open(path, "rb")
+            info = os.fstat(self._file.fileno())
+            if stat.S_ISREG(info.st_mode):
+                self._size = info.st_size
+            else:  # a pipe or a device has no size until it is read: read it once
+                with self._file:
+                    raw = self._file.read()
+                self._file, self._size = io.BytesIO(raw), len(raw)
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise DataError(f"{path}: cannot read {what}: {exc}") from exc
-        self._size = os.fstat(self._file.fileno()).st_size
         if self._file.read(4) != magic:
             self._fail(f"not a {what} (bad magic)")
         self._pos = 4

@@ -87,13 +87,14 @@ def read_feature_bin(path) -> np.ndarray:
     load holds the matrix and one block, not a copy of the file."""
     with Reader(path, FEATURE_MAGIC, FORMAT_VERSION, "feature binary") as reader:
         m, n = reader.fields("II")
+        if m == 0 or n == 0:  # checked here: the norms of an m = 0 matrix take N floats
+            raise DataError(f"{path}: empty feature matrix ({m} x {n})")
         reader.need(8 * m * n)  # before the matrix is allocated
         data = np.empty((m, n))
-        if m:
-            block = np.empty((max(1, BLOCK_BYTES // (8 * m)), m))
-            for start in range(0, n, len(block)):
-                samples = reader.fill(block[: n - start])
-                data[:, start : start + len(samples)] = samples.T
+        block = np.empty((min(n, max(1, BLOCK_BYTES // (8 * m))), m))
+        for start in range(0, n, len(block)):
+            samples = reader.fill(block[: n - start])
+            data[:, start : start + len(samples)] = samples.T
         reader.done()
     _validate_entries(data, path)
     return data

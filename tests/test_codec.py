@@ -8,7 +8,9 @@ field into one `bytes` object before writing it, and requires the same
 bytes from the streaming `Writer`.
 """
 
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -207,6 +209,27 @@ class TestCodec:
         assert out.tobytes() == mat[:2].tobytes()
         with pytest.raises(DataError, match="truncated: 32 bytes needed at offset 40, 16 left"):
             reader.fill(out)
+
+    def read_through_pipe(self, tmp_path, data):
+        pipe = tmp_path / f"rec{len(data)}.pipe"
+        os.mkfifo(pipe)
+        feeder = threading.Thread(target=pipe.write_bytes, args=(data,))
+        feeder.start()
+        try:
+            return Reader(pipe, b"TEST", 3, "test file")
+        finally:
+            feeder.join()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_like_a_file(self, tmp_path):
+        mat = np.arange(6.0).reshape(3, 2)
+        raw = self.write(tmp_path, lambda w: w.matrices([mat])).read_bytes()
+        reader = self.read_through_pipe(tmp_path, raw)
+        (got,) = reader.matrices()
+        reader.done()
+        assert got.tobytes() == mat.tobytes()
+        with pytest.raises(DataError, match="truncated"):
+            self.read_through_pipe(tmp_path, raw[:-8]).matrices()
 
 
 class TestLoadersCloseTheirFiles:

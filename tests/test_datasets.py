@@ -1,5 +1,7 @@
+import os
 import re
 import struct
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -72,19 +74,41 @@ class TestBinaryFormat:
         with pytest.raises(DataError):
             read_feature_bin(path)
 
-    def test_huge_header_rejected_before_allocating(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "m, n, match",
+        [
+            (2**32 - 1, 2**32 - 1, "truncated"),
+            (2**32 - 1, 0, "empty feature matrix"),
+            (0, 2**32 - 1, "empty feature matrix"),
+        ],
+    )
+    def test_huge_header_rejected_before_allocating(self, tmp_path, capsys, m, n, match):
         path = tmp_path / "features.bin"
-        path.write_bytes(b"UOSF" + struct.pack("<III", 1, 2**32 - 1, 2**32 - 1))
+        path.write_bytes(b"UOSF" + struct.pack("<III", 1, m, n))
         tracemalloc.start()
         try:
-            with pytest.raises(DataError, match="truncated"):
+            with pytest.raises(DataError, match=match):
                 load_feature_matrix(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
         assert cli_main(["cluster", "--clusters", "2", "--set", f"data={path}"]) == 2
-        assert "truncated" in capsys.readouterr().err
+        assert match in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_loads_like_the_file(self, tmp_path, rng):
+        path = tmp_path / "x.bin"
+        write_feature_bin(path, unit_columns(rng.standard_normal((6, 9))))
+        pipe = tmp_path / "x.pipe"
+        os.mkfifo(pipe)
+        feeder = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),))
+        feeder.start()
+        try:
+            from_pipe = load_feature_matrix(pipe)
+        finally:
+            feeder.join()
+        assert from_pipe.data.tobytes() == load_feature_matrix(path).data.tobytes()
 
 
 class TestStreamedLoad:
@@ -100,7 +124,6 @@ class TestStreamedLoad:
             (1, 2 * PER_BLOCK + 7),
             (60, 1),
             (1, 1),
-            (5, 0),
         ],
     )
     def test_matches_one_shot_reader(self, tmp_path, rng, m, n):
@@ -110,10 +133,9 @@ class TestStreamedLoad:
         assert loaded.flags.c_contiguous
         assert loaded.shape == (m, n)
         assert loaded.tobytes() == one_shot_feature_bin(path).tobytes()
-        if n:
-            with pytest.warns(UserWarning, match="renormalized"):
-                fm = load_feature_matrix(path)
-            assert fm.data.tobytes() == one_shot_normalized(path).tobytes()
+        with pytest.warns(UserWarning, match="renormalized"):
+            fm = load_feature_matrix(path)
+        assert fm.data.tobytes() == one_shot_normalized(path).tobytes()
 
     def test_sequence_dataset_matches_one_shot_reader(self, tmp_path):
         cfg = SequenceSynthConfig(
