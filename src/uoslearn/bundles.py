@@ -36,10 +36,13 @@ KIND_SVM_OVO = 3
 KIND_SVM_OVA = 4
 KIND_SVM_OPEN = 5
 
-_SVM_KINDS = {
-    KIND_SVM_OVO: "one_vs_one",
-    KIND_SVM_OVA: "one_vs_all",
-    KIND_SVM_OPEN: "one_vs_all",
+# Bundle kind -> (SVM mode, or None for k-NN; open-set flag).
+KINDS = {
+    KIND_KNN: (None, False),
+    KIND_KNN_OPEN: (None, True),
+    KIND_SVM_OVO: ("one_vs_one", False),
+    KIND_SVM_OVA: ("one_vs_all", False),
+    KIND_SVM_OPEN: ("one_vs_all", True),
 }
 
 
@@ -58,7 +61,11 @@ class KnnModel:
         # fitting the ceilings leaves a class member out.
         check_class_sizes(self.train, self.k, leave_one_out=self.open_set and self.ceilings is None)
         if self.open_set and not self.varsigma > 1:
-            raise ConfigError("varsigma must be > 1")
+            raise ConfigError("open-set varsigma must be > 1")
+
+    @property
+    def classes(self) -> list[int]:
+        return sorted({int(s.label) for s in self.train})
 
     def fit_ceilings(self, leaves: LeafSet) -> None:
         if self.open_set and self.ceilings is None:
@@ -71,12 +78,32 @@ class KnnModel:
         return knn_classify(test, self.train, leaves, self.k)
 
 
-def save_model_bundle(path, leaves: LeafSet, model, open_set: bool = False) -> None:
-    """Write a bundle; `open_set` marks a one-vs-all SVM for open-set prediction."""
-    writer = Writer(BUNDLE_MAGIC, BUNDLE_VERSION)
+def bundle_kind(model) -> int:
+    """The bundle kind that stores `model`; ConfigError for a model no kind stores."""
+    if not isinstance(model, (KnnModel, MulticlassSvmModel)):
+        raise ConfigError(f"cannot bundle model of type {type(model).__name__}")
+    key = (getattr(model, "mode", None), model.open_set)
+    return next(kind for kind, stored in KINDS.items() if stored == key)
+
+
+def predict(model, sample: SequenceSample, leaves: LeafSet):
+    """Class id of `sample`, or None when an open-set model rejects it.
+
+    The SVMs read `sample.assignment`, so it must be assigned to `leaves`.
+    """
     if isinstance(model, KnnModel):
-        writer.fields("B", KIND_KNN_OPEN if model.open_set else KIND_KNN)
-        writer.matrices(leaves.bases)
+        return model.predict(sample, leaves)
+    if model.open_set:
+        return open_set_svm(model, sample.assignment, leaves)
+    return svm_predict_multiclass(model, sample.assignment, leaves)
+
+
+def save_model_bundle(path, leaves: LeafSet, model) -> None:
+    """Write `model` with its leaf bases; the kind follows from the model."""
+    writer = Writer(BUNDLE_MAGIC, BUNDLE_VERSION)
+    writer.fields("B", bundle_kind(model))
+    writer.matrices(leaves.bases)
+    if isinstance(model, KnnModel):
         writer.fields("Id", model.k, model.varsigma)
         ceilings = model.ceilings or {}
         writer.fields("I", len(ceilings))
@@ -89,13 +116,7 @@ def save_model_bundle(path, leaves: LeafSet, model, open_set: bool = False) -> N
             writer.fields("i", s.label)
             writer.matrix(s.features)
             writer.indices(s.assignment)
-    elif isinstance(model, MulticlassSvmModel):
-        if model.mode == "one_vs_one":
-            kind = KIND_SVM_OVO
-        else:
-            kind = KIND_SVM_OPEN if open_set else KIND_SVM_OVA
-        writer.fields("B", kind)
-        writer.matrices(leaves.bases)
+    else:
         writer.fields("ddI", model.nu, model.c, len(model.train_assignments))
         for label, psi in zip(model.labels, model.train_assignments):
             writer.fields("i", int(label))
@@ -108,8 +129,6 @@ def save_model_bundle(path, leaves: LeafSet, model, open_set: bool = False) -> N
             writer.indices(idx)
             writer.array(binary.alpha, "<f8")
             writer.array(binary.y, "<f8")
-    else:
-        raise ConfigError(f"cannot bundle model of type {type(model).__name__}")
     writer.save(path)
 
 
@@ -119,7 +138,7 @@ def _check(path, ok, message: str) -> None:
 
 
 def load_model_bundle(path):
-    """Load a bundle; returns (leaves, model, kind).
+    """Load a bundle; returns (leaves, model).
 
     Beyond the codec's checks, assignments must index the stored leaves,
     k-NN frames must match their dimension, and the SVM binary models must
@@ -128,15 +147,14 @@ def load_model_bundle(path):
     """
     with Reader(path, BUNDLE_MAGIC, BUNDLE_VERSION, "model bundle") as reader:
         (kind,) = reader.fields("B")
-        if kind not in (KIND_KNN, KIND_KNN_OPEN, *_SVM_KINDS):
+        if kind not in KINDS:
             raise DataError(f"{path}: unknown bundle kind {kind}")
+        mode, open_set = KINDS[kind]
         leaves = LeafSet(reader.matrices())
-        if kind in (KIND_KNN, KIND_KNN_OPEN):
+        if mode is None:
             k, varsigma, n_ceil = reader.fields("IdI")
             ceilings = dict(reader.fields("id") for _ in range(n_ceil))
-            _check(path, k >= 1, "k must be >= 1")
             _check(path, math.isfinite(varsigma), "varsigma must be finite")
-            _check(path, kind == KIND_KNN or varsigma > 1, "open-set varsigma must be > 1")
             _check(path, all(map(math.isfinite, ceilings.values())), "ceilings must be finite")
             (n_train,) = reader.fields("I")
             train = []
@@ -150,13 +168,10 @@ def load_model_bundle(path):
             labels = [s.label for s in train]
             if ceilings and set(ceilings) != set(labels):
                 raise DataError(f"{path}: ceilings do not match the training classes")
-            model = KnnModel(
-                train=train,
-                k=k,
-                open_set=(kind == KIND_KNN_OPEN),
-                varsigma=varsigma,
-                ceilings=ceilings or None,
-            )
+            try:
+                model = KnnModel(train, k, open_set, varsigma, ceilings or None)
+            except ConfigError as exc:  # a k above a class size, say
+                raise DataError(f"{path}: {exc}") from exc
         else:
             nu, c, n_train = reader.fields("ddI")
             _check(path, 0 < nu < math.inf, "nu must be positive and finite")
@@ -187,27 +202,16 @@ def load_model_bundle(path):
             if len(models) != len(keys):
                 raise DataError(f"{path}: bundle lacks binary models")
             model = MulticlassSvmModel(
-                mode=_SVM_KINDS[kind],
+                mode=mode,
                 classes=classes,
                 train_assignments=assignments,
                 labels=np.asarray(labels, dtype=int),
                 nu=nu,
                 c=c,
                 models=models,
+                open_set=open_set,
             )
         reader.done()
     if not labels:
         raise DataError(f"{path}: bundle holds no training sequences")
-    return leaves, model, kind
-
-
-def predict_with_bundle(model, kind: int, test: SequenceSample, leaves: LeafSet):
-    """Dispatch prediction for a loaded bundle; returns a class id or None."""
-    if kind in (KIND_KNN, KIND_KNN_OPEN):
-        return model.predict(test, leaves)
-    from .sequences import assign_to_leaves
-
-    psi = assign_to_leaves(test, leaves)
-    if kind == KIND_SVM_OPEN:
-        return open_set_svm(model, psi, leaves)
-    return svm_predict_multiclass(model, psi, leaves)
+    return leaves, model

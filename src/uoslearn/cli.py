@@ -15,7 +15,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import datasets
-from .bundles import KnnModel, load_model_bundle, predict_with_bundle, save_model_bundle
+from .bundles import KnnModel, bundle_kind, load_model_bundle, predict, save_model_bundle
 from .codec import make_dir, write_file
 from .errors import ConfigError, DataError, NumericalError, UosError
 from .hierarchy import HierarchyConfig, hcs_lrr, read_tree, tree_summary, write_tree
@@ -23,14 +23,10 @@ from .metrics import clustering_accuracy
 from .sequences import LeafSet, assign_to_leaves
 from .solver import SolverConfig, build_affinity, cslrr_solve, threshold_coefficients
 from .spectral import spectral_cluster
-from .svm import (
-    MODE_ONE_VS_ALL,
-    MODE_ONE_VS_ONE,
-    check_svm_params,
-    open_set_svm,
-    svm_predict_multiclass,
-    svm_train_multiclass,
-)
+from .svm import MODE_ONE_VS_ALL, MODE_ONE_VS_ONE, check_svm_params, svm_train_multiclass
+
+# Unused here: bench/tracer.py wraps these two names in this module.
+from .svm import open_set_svm, svm_predict_multiclass
 from .synth import (
     SequenceSynthConfig,
     UosSynthConfig,
@@ -408,13 +404,8 @@ def cmd_classify(args) -> int:
                 f"--model cannot be combined with config key(s) {', '.join(map(repr, fixed))}; "
                 "the saved bundle fixes them"
             )
-        leaves, model, kind = load_model_bundle(args.model)
-        predictions = [predict_with_bundle(model, kind, s, leaves) for s in test]
-        classifier = f"bundle:{kind}"
-        if isinstance(model, KnnModel):
-            known = {int(s.label) for s in model.train}
-        else:
-            known = set(model.classes)
+        leaves, model = load_model_bundle(args.model)
+        classifier = f"bundle:{bundle_kind(model)}"
     else:
         leaves = _load_leaves_for_classify(args, data_dir)
         train = datasets.load_sequence_dataset(data_dir / "train")
@@ -424,7 +415,7 @@ def cmd_classify(args) -> int:
                 f"unknown classifier {classifier!r}; expected one of {CLASSIFIERS}"
             )
         open_set = args.open or cfg_bool(cfg, "open", False)
-        # Every config value is checked before the assignments, which warp each sequence.
+        # Every config value is checked before any sequence is assigned to the leaves.
         if classifier == "knn":
             model = KnnModel(
                 train=train,
@@ -439,13 +430,9 @@ def cmd_classify(args) -> int:
             nu = cfg_float(cfg, "nu") if "nu" in cfg else None
             c = cfg_float(cfg, "c", 10.0)
             check_svm_params(nu, c)
-        for s in train + test:
+        for s in train:
             s.assignment = assign_to_leaves(s, leaves)
-        known = {int(s.label) for s in train}
-        if classifier == "knn":
-            model.fit_ceilings(leaves)
-            predictions = [model.predict(s, leaves) for s in test]
-        else:
+        if classifier != "knn":
             model = svm_train_multiclass(
                 [s.assignment for s in train],
                 [s.label for s in train],
@@ -453,18 +440,18 @@ def cmd_classify(args) -> int:
                 mode=mode,
                 nu=nu,
                 c=c,
+                open_set=open_set,
             )
             stalled = [str(key) for key, (m, _) in model.models.items() if not m.converged]
             if stalled:
                 diag(f"SMO pass budget exhausted: binary models {', '.join(stalled)}")
-            if open_set:
-                predictions = [open_set_svm(model, s.assignment, leaves) for s in test]
-            else:
-                predictions = [
-                    svm_predict_multiclass(model, s.assignment, leaves) for s in test
-                ]
-        if args.save_model:
-            save_model_bundle(args.save_model, leaves, model, open_set=open_set)
+    for s in test:
+        s.assignment = assign_to_leaves(s, leaves)
+    # Before the save: an open-set k-NN model fits its ceilings on its first prediction.
+    predictions = [predict(model, s, leaves) for s in test]
+    known = set(model.classes)
+    if args.save_model:
+        save_model_bundle(args.save_model, leaves, model)
     for i, (sample, pred) in enumerate(zip(test, predictions)):
         emit(
             {

@@ -362,6 +362,9 @@ def open_set_knn(
         raise ConfigError("varsigma must be > 1")
     if ceilings is None:
         ceilings = class_distance_ceilings(train, leaves, k)
+    missing = sorted({s.label for s in train} - ceilings.keys())
+    if missing:  # checked before any warp
+        raise ConfigError(f"no ceiling for training class(es) {', '.join(map(str, missing))}")
     scores = _test_class_distances(test, train, leaves, k)
     best = min(scores, key=lambda cid: (scores[cid], cid))
     return best if scores[best] <= ceilings[best] * varsigma else None

@@ -225,9 +225,12 @@ class MulticlassSvmModel:
     # one_vs_one: keys (ci, cj) with ci < cj, values (model, train subset indices)
     # one_vs_all: keys ci, values (model, all indices)
     models: dict
+    open_set: bool = False  # one-vs-all only: predict None when no score is positive
     support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.open_set and self.mode != MODE_ONE_VS_ALL:
+            raise ConfigError("open-set prediction requires a one-vs-all model")
         rows = [idx[model.alpha != 0] for model, idx in self.models.values()]
         self.support = np.unique(np.concatenate([np.empty(0, int), *rows]))
 
@@ -260,11 +263,12 @@ def svm_train_multiclass(
     nu: float | None = None,
     c: float = 10.0,
     tol: float = 1e-3,
+    open_set: bool = False,
 ) -> MulticlassSvmModel:
     """Train the pairwise or per-class binary models over the Gaussian warping kernel.
 
     nu defaults to the median off-diagonal warping distance of the
-    training set.
+    training set; `open_set` is kept on the model (one-vs-all only).
     """
     if mode not in (MODE_ONE_VS_ONE, MODE_ONE_VS_ALL):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -302,6 +306,7 @@ def svm_train_multiclass(
         nu=float(nu),
         c=float(c),
         models=models,
+        open_set=open_set,
     )
 
 

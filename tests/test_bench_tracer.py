@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import unit_columns
+from uoslearn.cli import cli_main
+from uoslearn.datasets import load_sequence_dataset
 from uoslearn.sequences import assign_to_leaves, open_set_knn
 from uoslearn.solver import FeatureMatrix, SolverConfig, cslrr_solve
 from uoslearn.svm import svm_predict_multiclass, svm_train_multiclass
@@ -100,3 +102,33 @@ def test_embedding_spans_open_only_when_beta_positive(tracer, beta):
     expected = result.iterations - 1 if beta > 0 else 0
     assert spans["solver.z_step"] == result.iterations > 0
     assert spans["solver.f_step"] == spans["solver.eig"] == expected
+
+
+def test_classify_predicts_through_the_wrapped_names(tracer, tmp_path):
+    # Per stage: one svm.predict span per test sequence of an SVM, one
+    # ceilings fit for open-set k-NN, one bundle write or read, and every
+    # frame the stage assigns counted once. A refactor that routes
+    # prediction around a wrapped name changes these counts.
+    data, bundle = tmp_path / "seq", str(tmp_path / "model.uosm")
+    synth = ["kind=sequences", "m=8", "leaves=3", "leaf_dim=2", "classes=3",
+             "train_per_class=4", "test_per_class=2", "jitter=0.02"]
+    assert cli_main(["synth", "--seed", "1", "--out", str(data),
+                     *(arg for item in synth for arg in ("--set", item))]) == 0
+    train, test = (load_sequence_dataset(data / part) for part in ("train", "test"))
+    n_test, test_frames = len(test), sum(s.length for s in test)
+    all_frames = test_frames + sum(s.length for s in train)
+    stages = [  # flags, then (svm.predict, ceilings, saves, loads, frames assigned)
+        (["--classifier", "knn", "--open", "--set", "k=2"], (0, 1, 0, 0, all_frames)),
+        (["--classifier", "svm-ovo", "--save-model", bundle], (n_test, 0, 1, 0, all_frames)),
+        (["--model", bundle], (n_test, 0, 0, 1, test_frames)),
+        (["--classifier", "svm-ova", "--open"], (n_test, 0, 0, 0, all_frames)),
+        (["--classifier", "knn", "--set", "k=2"], (0, 0, 0, 0, all_frames)),
+    ]
+    for flags, expected in stages:
+        run = tracer.Tracer()
+        with run.installed():
+            assert cli_main(["classify", "--data", str(data), *flags]) == 0
+        spans = Counter(s.name for s in run.spans)
+        frames = sum(s.attrs["frames"] for s in run.spans if s.name == "sequences.assign")
+        names = ("svm.predict", "sequences.ceilings", "bundles.save", "bundles.load")
+        assert (*(spans[n] for n in names), frames) == expected, flags

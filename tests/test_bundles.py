@@ -9,8 +9,9 @@ from uoslearn.bundles import (
     KIND_SVM_OPEN,
     KIND_SVM_OVO,
     KnnModel,
+    bundle_kind,
     load_model_bundle,
-    predict_with_bundle,
+    predict,
     save_model_bundle,
 )
 from uoslearn.errors import DataError
@@ -41,12 +42,13 @@ class TestKnnBundle:
         model = KnnModel(train=train, k=2)
         path = tmp_path / "knn.uosm"
         save_model_bundle(path, leaves, model)
-        loaded_leaves, loaded, kind = load_model_bundle(path)
+        loaded_leaves, loaded = load_model_bundle(path)
+        kind = bundle_kind(loaded)
         assert kind == KIND_KNN
         for a, b in zip(leaves.bases, loaded_leaves.bases):
             assert a.tobytes() == b.tobytes()
         for probe in test[:4]:
-            assert predict_with_bundle(loaded, kind, probe, loaded_leaves) == model.predict(
+            assert predict(loaded, probe, loaded_leaves) == model.predict(
                 probe, leaves
             )
 
@@ -56,7 +58,8 @@ class TestKnnBundle:
         model.fit_ceilings(leaves)
         path = tmp_path / "knn-open.uosm"
         save_model_bundle(path, leaves, model)
-        _, loaded, kind = load_model_bundle(path)
+        _, loaded = load_model_bundle(path)
+        kind = bundle_kind(loaded)
         assert kind == KIND_KNN_OPEN
         assert loaded.varsigma == 1.3
         assert loaded.ceilings == model.ceilings
@@ -73,7 +76,8 @@ class TestSvmBundle:
         )
         path = tmp_path / "svm.uosm"
         save_model_bundle(path, leaves, model)
-        loaded_leaves, loaded, kind = load_model_bundle(path)
+        loaded_leaves, loaded = load_model_bundle(path)
+        kind = bundle_kind(loaded)
         assert kind == KIND_SVM_OVO
         assert loaded.nu == model.nu
         assert sorted(loaded.models) == sorted(model.models)
@@ -84,9 +88,7 @@ class TestSvmBundle:
             assert ma.bias == mb.bias
             assert np.array_equal(ia, ib)
         for probe in test[:5]:
-            assert predict_with_bundle(
-                loaded, kind, probe, loaded_leaves
-            ) == predict_with_bundle(model, kind, probe, leaves)
+            assert predict(loaded, probe, loaded_leaves) == predict(model, probe, leaves)
 
     def test_open_ova_round_trip(self, tmp_path):
         train, test, leaves = setup_data(seed=7)
@@ -95,12 +97,14 @@ class TestSvmBundle:
             [s.label for s in train],
             leaves,
             mode=MODE_ONE_VS_ALL,
+            open_set=True,
         )
         path = tmp_path / "svm-open.uosm"
-        save_model_bundle(path, leaves, model, open_set=True)
-        _, loaded, kind = load_model_bundle(path)
+        save_model_bundle(path, leaves, model)
+        _, loaded = load_model_bundle(path)
+        kind = bundle_kind(loaded)
         assert kind == KIND_SVM_OPEN
-        preds = [predict_with_bundle(loaded, kind, s, leaves) for s in test[:5]]
+        preds = [predict(loaded, s, leaves) for s in test[:5]]
         assert all(p is None or isinstance(p, int) for p in preds)
 
     @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from uoslearn.bundles import (
     KIND_SVM_OVA,
     KIND_SVM_OVO,
     KnnModel,
+    bundle_kind,
     load_model_bundle,
     save_model_bundle,
 )
@@ -334,7 +335,8 @@ class TestFormatLayout:
             monkeypatch, tmp_path / "knn.uosm", lambda p: save_model_bundle(p, leaves, model)
         )
         assert path.read_bytes() == expected
-        _, loaded, loaded_kind = load_model_bundle(path)
+        _, loaded = load_model_bundle(path)
+        loaded_kind = bundle_kind(loaded)
         assert loaded_kind == kind
         assert (loaded.k, loaded.varsigma, loaded.ceilings) == (1, 1.5, ceilings)
         for a, b in zip(loaded.train, train):
@@ -357,7 +359,9 @@ class TestFormatLayout:
             binary = BinarySvmModel(np.array([0.5, 0.25 * pos]), np.array([1.0, -1.0]), -0.125)
             models[key] = (binary, idx)
         mode = "one_vs_one" if kind == KIND_SVM_OVO else "one_vs_all"
-        model = MulticlassSvmModel(mode, [1, 3, 6], assignments, labels, 0.75, 10.0, models)
+        model = MulticlassSvmModel(
+            mode, [1, 3, 6], assignments, labels, 0.75, 10.0, models, kind == KIND_SVM_OPEN
+        )
         expected = b"UOSM" + struct.pack("<I", 1) + struct.pack("<B", kind)
         expected += leaf_bytes(leaves.bases) + struct.pack("<dd", 0.75, 10.0)
         expected += struct.pack("<I", len(labels))
@@ -372,10 +376,11 @@ class TestFormatLayout:
         path = written(
             monkeypatch,
             tmp_path / "svm.uosm",
-            lambda p: save_model_bundle(p, leaves, model, open_set=(kind == KIND_SVM_OPEN)),
+            lambda p: save_model_bundle(p, leaves, model),
         )
         assert path.read_bytes() == expected
-        _, loaded, loaded_kind = load_model_bundle(path)
+        _, loaded = load_model_bundle(path)
+        loaded_kind = bundle_kind(loaded)
         assert loaded_kind == kind
         assert (loaded.mode, loaded.classes, loaded.nu, loaded.c) == (mode, [1, 3, 6], 0.75, 10.0)
         assert np.array_equal(loaded.labels, labels)

@@ -17,7 +17,9 @@ a small pool, so no run can ask for a huge problem.
 """
 
 import contextlib
+import re
 import shutil
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 from uoslearn.bundles import load_model_bundle
 from uoslearn.cli import CLASSIFY_KEYS, CLUSTER_KEYS, HIERARCHY_KEYS, SYNTH_KEYS, cli_main
 from uoslearn.datasets import load_boundaries, load_labels, load_leaves, read_feature_bin
-from uoslearn.errors import UosError
+from uoslearn.errors import DataError, UosError
 from uoslearn.hierarchy import read_tree
 
 BUNDLES = {
@@ -107,6 +109,24 @@ def test_damaged_file_is_a_data_error(pipeline, name, data):
     finally:
         path.write_bytes(raw)
     assert code == 2 if truncate and name not in TEXT else code in (0, 2)
+
+
+@pytest.mark.parametrize("name", ["knn", "knn_open"])
+def test_bundle_k_above_a_class_size_is_a_data_error(pipeline, name, capsys):
+    # A k-NN bundle stores u32 k right after its kind byte and leaf bases,
+    # which are encoded as in the leaf file after its 8-byte header.
+    raw, loader, path, argv = pipeline[name]
+    at = 9 + len(pipeline["leaves"][0]) - 8
+    assert struct.unpack_from("<I", raw, at) == (1,)
+    try:
+        path.write_bytes(raw[:at] + struct.pack("<I", 9) + raw[at + 4 :])
+        with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".* than k=9"):
+            loader(path)
+        code = cli_main(argv)
+    finally:
+        path.write_bytes(raw)
+    assert code == 2
+    assert f"{path}: " in capsys.readouterr().err
 
 
 CONFIG_KEYS = sorted(

@@ -8,6 +8,7 @@ from scipy.spatial.distance import cdist
 
 from conftest import random_orthonormal, unit_columns
 from uoslearn import sequences
+from uoslearn.bundles import KnnModel
 from uoslearn.errors import ConfigError, DataError, DimensionError
 from uoslearn.sequences import (
     FRAME_BLOCK_CELLS,
@@ -531,6 +532,19 @@ class TestOpenSetKnn:
         train, test = split_by_class(samples, 6)
         for probe in test[:4]:
             assert open_set_knn(probe, train, leaves, k=2, varsigma=1e6) is not None
+
+    def test_ceilings_missing_a_class_rejected_before_any_warp(self, monkeypatch):
+        samples, leaves = make_sequence_dataset(per_class=4)
+        train, test = split_by_class(samples, 3)
+        warps = []
+        monkeypatch.setattr(sequences, "align_features_dtw", lambda a, b: warps.append((a, b)))
+        missing = r"no ceiling for training class\(es\) 1, 2"
+        with pytest.raises(ConfigError, match=missing):
+            open_set_knn(test[0], train, leaves, k=2, ceilings={0: 1.0})
+        model = KnnModel(train, k=2, open_set=True, ceilings={0: 1.0})
+        with pytest.raises(ConfigError, match=missing):
+            model.predict(test[0], leaves)
+        assert warps == []
 
     def test_class_too_small(self):
         samples, leaves = make_sequence_dataset(per_class=3)

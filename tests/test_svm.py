@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -238,11 +240,15 @@ class TestDecisionScoresExact:
     def test_matches_full_column(self, mode, tmp_path):
         train, test, leaves = sequence_classification_setup(seed=5, classes=4)
         model = svm_train_multiclass(
-            [s.assignment for s in train], [s.label for s in train], leaves, mode=mode
+            [s.assignment for s in train],
+            [s.label for s in train],
+            leaves,
+            mode=mode,
+            open_set=mode == MODE_ONE_VS_ALL,
         )
         path = tmp_path / "svm.uosm"
-        save_model_bundle(path, leaves, model, open_set=mode == MODE_ONE_VS_ALL)
-        loaded_leaves, loaded, _ = load_model_bundle(path)
+        save_model_bundle(path, leaves, model)
+        loaded_leaves, loaded = load_model_bundle(path)
         for m, lv in ((model, leaves), (loaded, loaded_leaves)):
             assert 0 < len(m.support) < len(m.train_assignments)
             for s in test + train[:4]:
@@ -298,6 +304,18 @@ class TestOpenSetSvm:
         )
         with pytest.raises(ConfigError):
             open_set_svm(model, train[0].assignment, leaves)
+
+    def test_open_set_one_vs_one_model_rejected(self):
+        train, _, leaves = sequence_classification_setup(seed=2)
+        model = svm_train_multiclass(
+            [s.assignment for s in train], [s.label for s in train], leaves, mode=MODE_ONE_VS_ONE
+        )
+        with pytest.raises(ConfigError, match="requires a one-vs-all model"):
+            replace(model, open_set=True)
+        with pytest.raises(ConfigError, match="requires a one-vs-all model"):
+            svm_train_multiclass(
+                model.train_assignments, model.labels, leaves, mode=MODE_ONE_VS_ONE, open_set=True
+            )
 
     def test_all_negative_scores_give_new(self, rng):
         # kernels bounded by 1 with a large negative bias force rejection
