@@ -1,6 +1,7 @@
 """Union-of-subspaces learning: structure-constrained low-rank representation,
 hierarchical subspace clustering, and subspace-sequence classification."""
 
+from .bundles import KnnModel
 from .errors import (
     ConfigError,
     DataError,
@@ -32,8 +33,6 @@ from .sequences import (
     align_features_dtw,
     assign_to_leaves,
     dtw_grassmann,
-    knn_classify,
-    open_set_knn,
     sequence_distance,
     subspace_distance,
 )

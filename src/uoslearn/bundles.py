@@ -22,8 +22,7 @@ from .sequences import (
     SequenceSample,
     check_class_sizes,
     class_distance_ceilings,
-    knn_classify,
-    open_set_knn,
+    class_distances,
 )
 from .svm import BinarySvmModel, MulticlassSvmModel, open_set_svm, svm_predict_multiclass
 
@@ -48,10 +47,12 @@ KINDS = {
 
 @dataclass
 class KnnModel:
-    """Nearest-neighbor classifier state: labeled training sequences and k."""
+    """Nearest-neighbor classifier: the class whose k nearest training sequences are
+    closest on average, ties to the lowest id; open-set, None when that average
+    exceeds varsigma times the class ceiling (fitted on the first prediction)."""
 
     train: list[SequenceSample]
-    k: int
+    k: int = 3
     open_set: bool = False
     varsigma: float = 1.2
     ceilings: dict[int, float] | None = None
@@ -60,8 +61,14 @@ class KnnModel:
         # Checked before fit_ceilings or predict warps any sequence pair; only
         # fitting the ceilings leaves a class member out.
         check_class_sizes(self.train, self.k, leave_one_out=self.open_set and self.ceilings is None)
+        if not self.train:
+            raise ConfigError("k-NN needs at least one training sequence")
         if self.open_set and not self.varsigma > 1:
             raise ConfigError("open-set varsigma must be > 1")
+        if self.open_set and self.ceilings is not None:
+            missing = [str(cid) for cid in self.classes if cid not in self.ceilings]
+            if missing:
+                raise ConfigError(f"no ceiling for training class(es) {', '.join(missing)}")
 
     @property
     def classes(self) -> list[int]:
@@ -71,11 +78,13 @@ class KnnModel:
         if self.open_set and self.ceilings is None:
             self.ceilings = class_distance_ceilings(self.train, leaves, self.k)
 
-    def predict(self, test: SequenceSample, leaves: LeafSet):
-        if self.open_set:
-            self.fit_ceilings(leaves)
-            return open_set_knn(test, self.train, leaves, self.k, self.varsigma, self.ceilings)
-        return knn_classify(test, self.train, leaves, self.k)
+    def predict(self, test: SequenceSample, leaves: LeafSet) -> int | None:
+        self.fit_ceilings(leaves)
+        scores = class_distances(test, self.train, leaves, self.k)
+        best = min(scores, key=lambda cid: (scores[cid], cid))
+        if self.open_set and not scores[best] <= self.ceilings[best] * self.varsigma:
+            return None
+        return best
 
 
 def bundle_kind(model) -> int:

@@ -418,10 +418,7 @@ def cmd_classify(args) -> int:
         # Every config value is checked before any sequence is assigned to the leaves.
         if classifier == "knn":
             model = KnnModel(
-                train=train,
-                k=cfg_int(cfg, "k", 3),
-                open_set=open_set,
-                varsigma=cfg_float(cfg, "varsigma", 1.2),
+                **config_values(KnnModel, cfg, train=train, open_set=open_set, ceilings=None)
             )
         else:
             mode = MODE_ONE_VS_ONE if classifier == "svm-ovo" else MODE_ONE_VS_ALL

@@ -284,7 +284,7 @@ def _mean_k_smallest(distances, k: int) -> float:
     return float(np.mean(np.sort(distances)[:k]))
 
 
-def _test_class_distances(
+def class_distances(
     test: SequenceSample,
     train: list[SequenceSample],
     leaves: LeafSet,
@@ -298,24 +298,7 @@ def _test_class_distances(
     by_class: dict[int, list[float]] = {}
     for s, d in zip(train, row):
         by_class.setdefault(s.label, []).append(d)
-    scores = {}
-    for cid, dists in by_class.items():
-        scores[cid] = _mean_k_smallest(dists, k)
-    return scores
-
-
-def knn_classify(
-    test: SequenceSample,
-    train: list[SequenceSample],
-    leaves: LeafSet,
-    k: int = 3,
-) -> int:
-    """Class whose k nearest training sequences have the smallest average distance.
-
-    Ties break toward the lowest class id.
-    """
-    scores = _test_class_distances(test, train, leaves, k)
-    return min(scores, key=lambda cid: (scores[cid], cid))
+    return {cid: _mean_k_smallest(dists, k) for cid, dists in by_class.items()}
 
 
 def class_distance_ceilings(
@@ -341,33 +324,6 @@ def class_distance_ceilings(
             _mean_k_smallest(np.delete(row, i), k) for i, row in enumerate(dist)
         )
     return ceilings
-
-
-def open_set_knn(
-    test: SequenceSample,
-    train: list[SequenceSample],
-    leaves: LeafSet,
-    k: int = 3,
-    varsigma: float = 1.2,
-    ceilings: dict[int, float] | None = None,
-) -> int | None:
-    """Nearest-neighbor classification with rejection of unfamiliar sequences.
-
-    A tentative class is chosen as in knn_classify; the test is accepted
-    only if its average distance to the k nearest members of that class is
-    within varsigma times the class ceiling, otherwise None is returned to
-    mark a new, unseen class.
-    """
-    if varsigma <= 1:
-        raise ConfigError("varsigma must be > 1")
-    if ceilings is None:
-        ceilings = class_distance_ceilings(train, leaves, k)
-    missing = sorted({s.label for s in train} - ceilings.keys())
-    if missing:  # checked before any warp
-        raise ConfigError(f"no ceiling for training class(es) {', '.join(map(str, missing))}")
-    scores = _test_class_distances(test, train, leaves, k)
-    best = min(scores, key=lambda cid: (scores[cid], cid))
-    return best if scores[best] <= ceilings[best] * varsigma else None
 
 
 def dtw_distance_matrix(

@@ -206,6 +206,16 @@ def svm_train_binary(
     return BinarySvmModel(smo.alpha, y.copy(), float(smo.b), converged, passes)
 
 
+MODE_ONE_VS_ONE = "one_vs_one"
+MODE_ONE_VS_ALL = "one_vs_all"
+
+
+def check_open_set_mode(mode: str, open_set: bool) -> None:
+    """Open-set prediction needs a one-vs-all model; ConfigError otherwise."""
+    if open_set and mode != MODE_ONE_VS_ALL:
+        raise ConfigError("open-set prediction requires a one-vs-all model")
+
+
 @dataclass
 class MulticlassSvmModel:
     """One-vs-one or one-vs-all ensemble over warping-kernel sequences.
@@ -229,8 +239,7 @@ class MulticlassSvmModel:
     support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.open_set and self.mode != MODE_ONE_VS_ALL:
-            raise ConfigError("open-set prediction requires a one-vs-all model")
+        check_open_set_mode(self.mode, self.open_set)
         rows = [idx[model.alpha != 0] for model, idx in self.models.values()]
         self.support = np.unique(np.concatenate([np.empty(0, int), *rows]))
 
@@ -251,10 +260,6 @@ class MulticlassSvmModel:
         }
 
 
-MODE_ONE_VS_ONE = "one_vs_one"
-MODE_ONE_VS_ALL = "one_vs_all"
-
-
 def svm_train_multiclass(
     train_assignments: list[np.ndarray],
     labels,
@@ -272,7 +277,9 @@ def svm_train_multiclass(
     """
     if mode not in (MODE_ONE_VS_ONE, MODE_ONE_VS_ALL):
         raise ConfigError(f"unknown mode {mode!r}")
-    check_svm_params(nu, c, tol)  # before the kernel, whose warps dominate training
+    # Before the kernel, whose warps dominate training.
+    check_open_set_mode(mode, open_set)
+    check_svm_params(nu, c, tol)
     labels = np.asarray(labels, dtype=int)
     if len(labels) != len(train_assignments):
         raise DimensionError("labels must match the number of sequences")
@@ -323,8 +330,7 @@ def svm_predict_multiclass(model: MulticlassSvmModel, psi, leaves: LeafSet) -> i
 
 def open_set_svm(model: MulticlassSvmModel, psi, leaves: LeafSet) -> int | None:
     """Top-scoring one-vs-all class if its score is strictly positive, else None."""
-    if model.mode != MODE_ONE_VS_ALL:
-        raise ConfigError("open-set prediction requires a one-vs-all model")
+    check_open_set_mode(model.mode, True)
     scores = model.decision_scores(psi, leaves)
     best = max(model.classes, key=lambda ci: (scores[ci], -ci))
     return best if scores[best] > 0 else None

@@ -14,6 +14,7 @@ import pytest
 from conftest import random_orthonormal
 from test_hierarchy import shared_direction_data
 from test_solver import reference_lrr_iterates
+from uoslearn.bundles import KnnModel
 from uoslearn.cli import cli_main
 from uoslearn.datasets import write_feature_bin, write_labels
 from uoslearn.hierarchy import HierarchyConfig, hcs_lrr
@@ -24,8 +25,6 @@ from uoslearn.sequences import (
     assign_to_leaves,
     class_distance_ceilings,
     dtw_grassmann,
-    knn_classify,
-    open_set_knn,
     subspace_distance,
 )
 from uoslearn.solver import (
@@ -290,7 +289,7 @@ def test_criterion_8_classification_desk_scale():
     assert len(train) == 80 and len(test) == 40
 
     knn_acc = np.mean(
-        [knn_classify(s, train, leaves, k=3) == s.label for s in test]
+        [KnnModel(train, k=3).predict(s, leaves) == s.label for s in test]
     )
     assert knn_acc >= 0.90
 
@@ -310,12 +309,8 @@ def test_criterion_8_classification_desk_scale():
     ceilings = class_distance_ceilings(kept, leaves, k=3)
     best = None
     for varsigma in (1.05, 1.2, 1.5, 2.0, 3.0):
-        preds = [
-            open_set_knn(
-                s, kept, leaves, k=3, varsigma=varsigma, ceilings=ceilings
-            )
-            for s in test
-        ]
+        model = KnnModel(kept, k=3, open_set=True, varsigma=varsigma, ceilings=ceilings)
+        preds = [model.predict(s, leaves) for s in test]
         known = [(p, s.label) for p, s in zip(preds, test) if s.label != held_out]
         unknown = [p for p, s in zip(preds, test) if s.label == held_out]
         known_acc = np.mean([p == t for p, t in known])

@@ -16,7 +16,8 @@ import pytest
 from conftest import unit_columns
 from uoslearn.cli import cli_main
 from uoslearn.datasets import load_sequence_dataset
-from uoslearn.sequences import assign_to_leaves, open_set_knn
+from uoslearn.bundles import KnnModel
+from uoslearn.sequences import assign_to_leaves
 from uoslearn.solver import FeatureMatrix, SolverConfig, cslrr_solve
 from uoslearn.svm import svm_predict_multiclass, svm_train_multiclass
 from uoslearn.synth import SequenceSynthConfig, generate_synthetic_sequences
@@ -55,7 +56,7 @@ def test_dtw_spans_are_counted_per_pair(tracer):
     run = tracer.Tracer()
     with run.installed():
         svm_train_multiclass(psis, [s.label for s in train], leaves)
-        open_set_knn(probe, train, leaves, k=2)
+        KnnModel(train, k=2, open_set=True).predict(probe, leaves)
     spans = Counter(s.name for s in run.spans)
     sizes = Counter(s.label for s in train).values()
     assert spans["svm.kernel"] == 1

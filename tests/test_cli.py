@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from uoslearn import cli, hierarchy, sequences, svm
+from uoslearn.bundles import KnnModel
 from uoslearn.cli import cli_main
 from conftest import write_feature_csv
 from uoslearn.datasets import write_feature_bin, write_labels
@@ -747,7 +748,7 @@ class TestReadmeConfigKeys:
 
     def test_defaults_match_the_schema(self):
         schema = {}
-        for cls in (SolverConfig, HierarchyConfig, UosSynthConfig, SequenceSynthConfig):
+        for cls in (SolverConfig, HierarchyConfig, UosSynthConfig, SequenceSynthConfig, KnnModel):
             for f in fields(cls):
                 schema[cli.FIELD_KEYS.get(f.name, f.name)] = f.default
         schema.update({key: float(value) for key, value in cli.SOLVER_DEFAULTS.items()})
@@ -767,7 +768,8 @@ class TestReadmeConfigKeys:
                 else:
                     assert float(shown) == expected, key
         # Every field but those the CLI fills itself.
-        assert checked == set(schema) - {"l_max", "max_level", "sequences_per_class"}
+        filled = {"l_max", "max_level", "sequences_per_class", "train", "open_set", "ceilings"}
+        assert checked == set(schema) - filled
 
 
 class TestRangeAndModelChecks:

@@ -20,9 +20,7 @@ from uoslearn.sequences import (
     dtw_distance_matrix,
     dtw_grassmann,
     gaussian_kernel,
-    knn_classify,
     median_bandwidth,
-    open_set_knn,
     sequence_distance,
     subspace_distance,
     _frame_distances,
@@ -437,7 +435,7 @@ class TestKnn:
         probe = SequenceSample(
             features=train[0].features.copy(), label=None
         )
-        assert knn_classify(probe, train, leaves, k=1) == train[0].label
+        assert KnnModel(train, k=1).predict(probe, leaves) == train[0].label
 
     def test_two_class_margin(self, rng):
         e = np.eye(8)
@@ -447,13 +445,13 @@ class TestKnn:
         for s in near + far:
             s.assignment = assign_to_leaves(s, leaves)
         probe = seq_from_columns(e[:, [0, 0, 1]])
-        assert knn_classify(probe, near + far, leaves, k=2) == 0
+        assert KnnModel(near + far, k=2).predict(probe, leaves) == 0
 
     def test_synthetic_accuracy(self):
         samples, leaves = make_sequence_dataset(seed=5, per_class=10)
         train, test = split_by_class(samples, 7)
         correct = sum(
-            knn_classify(s, train, leaves, k=3) == s.label for s in test
+            KnnModel(train, k=3).predict(s, leaves) == s.label for s in test
         )
         assert correct / len(test) >= 0.9
 
@@ -461,31 +459,44 @@ class TestKnn:
         samples, leaves = make_sequence_dataset(seed=2)
         train, test = split_by_class(samples, 6)
         probe = test[0]
-        a = knn_classify(probe, train, leaves, k=2)
-        b = knn_classify(probe, list(reversed(train)), leaves, k=2)
+        a = KnnModel(train, k=2).predict(probe, leaves)
+        b = KnnModel(list(reversed(train)), k=2).predict(probe, leaves)
         assert a == b
 
     def test_single_class_returned_trivially(self):
         samples, leaves = make_sequence_dataset(seed=8, classes=1, per_class=4)
         train, _ = split_by_class(samples, 3)
         probe = SequenceSample(features=train[0].features.copy())
-        assert knn_classify(probe, train, leaves, k=2) == 0
+        assert KnnModel(train, k=2).predict(probe, leaves) == 0
 
     def test_k_too_large_for_class(self):
         samples, leaves = make_sequence_dataset(per_class=3)
         train, _ = split_by_class(samples, 3)
         with pytest.raises(ConfigError):
-            knn_classify(train[0], train, leaves, k=4)
+            KnnModel(train, k=4).predict(train[0], leaves)
+
+    @pytest.mark.parametrize("open_set", [False, True])
+    def test_empty_training_set_rejected(self, open_set):
+        with pytest.raises(ConfigError, match="at least one training sequence"):
+            KnnModel([], k=1, open_set=open_set)
 
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda t, tr, lv: knn_classify(t, tr, lv, k=0), "k must be >= 1"),
-            (lambda t, tr, lv: knn_classify(t, tr, lv, k=4), "class 0 has fewer than k=4"),
-            (lambda t, tr, lv: open_set_knn(t, tr, lv, k=0), "k must be >= 1"),
-            (lambda t, tr, lv: open_set_knn(t, tr, lv, k=3), "class 0 needs more than k=3"),
+            (lambda t, tr, lv: KnnModel(tr, k=0).predict(t, lv), "k must be >= 1"),
+            (lambda t, tr, lv: KnnModel(tr, k=4).predict(t, lv), "class 0 has fewer than k=4"),
             (
-                lambda t, tr, lv: open_set_knn(t, tr, lv, k=4, ceilings={0: 1.0, 1: 1.0, 2: 1.0}),
+                lambda t, tr, lv: KnnModel(tr, k=0, open_set=True).predict(t, lv),
+                "k must be >= 1",
+            ),
+            (
+                lambda t, tr, lv: KnnModel(tr, k=3, open_set=True).predict(t, lv),
+                "class 0 needs more than k=3",
+            ),
+            (
+                lambda t, tr, lv: KnnModel(
+                    tr, k=4, open_set=True, ceilings={0: 1.0, 1: 1.0, 2: 1.0}
+                ).predict(t, lv),
                 "class 0 has fewer than k=4",
             ),
             (lambda t, tr, lv: class_distance_ceilings(tr, lv, k=0), "k must be >= 1"),
@@ -513,7 +524,7 @@ class TestOpenSetKnn:
         samples, leaves = make_sequence_dataset(seed=3)
         train, _ = split_by_class(samples, 6)
         probe = SequenceSample(features=train[2].features.copy())
-        got = open_set_knn(probe, train, leaves, k=2, varsigma=1.01)
+        got = KnnModel(train, k=2, open_set=True, varsigma=1.01).predict(probe, leaves)
         assert got == train[2].label
 
     def test_distant_probe_rejected(self, rng):
@@ -525,13 +536,14 @@ class TestOpenSetKnn:
             s.assignment = assign_to_leaves(s, leaves)
             train.append(s)
         probe = seq_from_columns(e[:, [2, 2, 2]])
-        assert open_set_knn(probe, train, leaves, k=2, varsigma=1.01) is None
+        assert KnnModel(train, k=2, open_set=True, varsigma=1.01).predict(probe, leaves) is None
 
     def test_huge_varsigma_never_rejects(self):
         samples, leaves = make_sequence_dataset(seed=4)
         train, test = split_by_class(samples, 6)
+        model = KnnModel(train, k=2, open_set=True, varsigma=1e6)
         for probe in test[:4]:
-            assert open_set_knn(probe, train, leaves, k=2, varsigma=1e6) is not None
+            assert model.predict(probe, leaves) is not None
 
     def test_ceilings_missing_a_class_rejected_before_any_warp(self, monkeypatch):
         samples, leaves = make_sequence_dataset(per_class=4)
@@ -540,11 +552,14 @@ class TestOpenSetKnn:
         monkeypatch.setattr(sequences, "align_features_dtw", lambda a, b: warps.append((a, b)))
         missing = r"no ceiling for training class\(es\) 1, 2"
         with pytest.raises(ConfigError, match=missing):
-            open_set_knn(test[0], train, leaves, k=2, ceilings={0: 1.0})
-        model = KnnModel(train, k=2, open_set=True, ceilings={0: 1.0})
-        with pytest.raises(ConfigError, match=missing):
-            model.predict(test[0], leaves)
+            KnnModel(train, k=2, open_set=True, ceilings={0: 1.0})
         assert warps == []
+
+    def test_nan_varsigma_rejected(self):
+        samples, _ = make_sequence_dataset(per_class=4)
+        train, _ = split_by_class(samples, 3)
+        with pytest.raises(ConfigError, match="open-set varsigma must be > 1"):
+            KnnModel(train, k=2, open_set=True, varsigma=np.nan)
 
     def test_class_too_small(self):
         samples, leaves = make_sequence_dataset(per_class=3)
@@ -558,7 +573,9 @@ class TestOpenSetKnn:
         with pytest.raises(ConfigError, match="k must be >= 1"):
             class_distance_ceilings(train, leaves, k=0)
         with pytest.raises(ConfigError, match="k must be >= 1"):
-            open_set_knn(test[0], train, leaves, k=0, ceilings={0: 1.0, 1: 1.0, 2: 1.0})
+            KnnModel(
+                train, k=0, open_set=True, ceilings={0: 1.0, 1: 1.0, 2: 1.0}
+            ).predict(test[0], leaves)
 
 
 class TestGaussianKernel:

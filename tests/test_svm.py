@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_orthonormal
 from uoslearn.bundles import load_model_bundle, save_model_bundle
-from uoslearn import sequences
+from uoslearn import sequences, svm
 from uoslearn.errors import ConfigError
 from uoslearn.sequences import (
     LeafSet,
@@ -305,17 +305,20 @@ class TestOpenSetSvm:
         with pytest.raises(ConfigError):
             open_set_svm(model, train[0].assignment, leaves)
 
-    def test_open_set_one_vs_one_model_rejected(self):
+    def test_open_set_one_vs_one_model_rejected(self, monkeypatch):
         train, _, leaves = sequence_classification_setup(seed=2)
         model = svm_train_multiclass(
             [s.assignment for s in train], [s.label for s in train], leaves, mode=MODE_ONE_VS_ONE
         )
         with pytest.raises(ConfigError, match="requires a one-vs-all model"):
             replace(model, open_set=True)
+        kernels = []
+        monkeypatch.setattr(svm, "dtw_distance_matrix", lambda *args: kernels.append(args))
         with pytest.raises(ConfigError, match="requires a one-vs-all model"):
             svm_train_multiclass(
                 model.train_assignments, model.labels, leaves, mode=MODE_ONE_VS_ONE, open_set=True
             )
+        assert kernels == []  # rejected before the kernel
 
     def test_all_negative_scores_give_new(self, rng):
         # kernels bounded by 1 with a large negative bias force rejection

@@ -71,13 +71,13 @@ class TestSequenceGenerator:
             seed=3,
         )
         samples, leaves = generate_synthetic_sequences(cfg)
-        from uoslearn.sequences import knn_classify
+        from uoslearn.bundles import KnnModel
 
         for s in samples:
             s.assignment = assign_to_leaves(s, leaves)
         train, test = split_by_class(samples, 4)
         for s in test:
-            assert knn_classify(s, train, leaves, k=2) == s.label
+            assert KnnModel(train, k=2).predict(s, leaves) == s.label
 
     def test_single_class(self):
         cfg = SequenceSynthConfig(
