@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -177,14 +178,9 @@ def load_model_bundle(path):
             labels = [s.label for s in train]
             if ceilings and set(ceilings) != set(labels):
                 raise DataError(f"{path}: ceilings do not match the training classes")
-            try:
-                model = KnnModel(train, k, open_set, varsigma, ceilings or None)
-            except ConfigError as exc:  # a k above a class size, say
-                raise DataError(f"{path}: {exc}") from exc
+            make = partial(KnnModel, train, k, open_set, varsigma, ceilings or None)
         else:
             nu, c, n_train = reader.fields("ddI")
-            _check(path, 0 < nu < math.inf, "nu must be positive and finite")
-            _check(path, 0 < c < math.inf, "c must be positive and finite")
             labels = []
             assignments = []
             for _ in range(n_train):
@@ -210,7 +206,8 @@ def load_model_bundle(path):
                 models[keys[ca, cb]] = (BinarySvmModel(alpha=alpha, y=y, bias=bias), idx)
             if len(models) != len(keys):
                 raise DataError(f"{path}: bundle lacks binary models")
-            model = MulticlassSvmModel(
+            make = partial(
+                MulticlassSvmModel,
                 mode=mode,
                 classes=classes,
                 train_assignments=assignments,
@@ -220,6 +217,10 @@ def load_model_bundle(path):
                 models=models,
                 open_set=open_set,
             )
+        try:
+            model = make()
+        except ConfigError as exc:  # a k above a class size, or a nu or c training rejects
+            raise DataError(f"{path}: {exc}") from exc
         reader.done()
     if not labels:
         raise DataError(f"{path}: bundle holds no training sequences")

@@ -23,7 +23,8 @@ from .metrics import clustering_accuracy
 from .sequences import LeafSet, assign_to_leaves
 from .solver import SolverConfig, build_affinity, cslrr_solve, threshold_coefficients
 from .spectral import spectral_cluster
-from .svm import MODE_ONE_VS_ALL, MODE_ONE_VS_ONE, check_svm_params, svm_train_multiclass
+from .svm import DEFAULT_C, MODE_ONE_VS_ALL, MODE_ONE_VS_ONE, check_open_set_mode
+from .svm import check_svm_params, svm_train_multiclass
 
 # Unused here: bench/tracer.py wraps these two names in this module.
 from .svm import open_set_svm, svm_predict_multiclass
@@ -36,12 +37,12 @@ from .synth import (
 )
 
 METHODS = ("lrr", "sclrr", "cslrr")
-CLASSIFIERS = ("knn", "svm-ovo", "svm-ova")
+CLASSIFIERS = ("knn", "svm-ovo", "svm-ova")  # the first is the default
 
 # A config key is the name of the dataclass field it fills, except these.
-FIELD_KEYS = {"lam": "lambda", "points_per_subspace": "points"}
-# Defaults the CLI applies to the SolverConfig fields the library requires.
-SOLVER_DEFAULTS = {"alpha": "1.0", "beta": "0.5", "lambda": "1.0"}
+FIELD_KEYS = {
+    "lam": "lambda", "points_per_subspace": "points", "max_level": "levels", "open_set": "open",
+}
 
 
 def config_keys(cls, *given: str) -> tuple[str, ...]:
@@ -60,9 +61,7 @@ SYNTH_KEYS = {
     ),
 }
 CLUSTER_KEYS = ("seed", "clusters", *DATA_KEYS, *SOLVER_KEYS)
-HIERARCHY_KEYS = (
-    "seed", "levels", *config_keys(HierarchyConfig, "max_level"), *DATA_KEYS, *SOLVER_KEYS,
-)
+HIERARCHY_KEYS = ("seed", *config_keys(HierarchyConfig), *DATA_KEYS, *SOLVER_KEYS)
 # The classifier keys; a saved bundle fixes them, so `classify --model` rejects them.
 MODEL_KEYS = ("classifier", "open", "k", "varsigma", "nu", "c")
 CLASSIFY_KEYS = ("data", *MODEL_KEYS)
@@ -151,8 +150,8 @@ def cfg_float(cfg, key, default=None) -> float:
     return value
 
 
-def cfg_bool(cfg, key, default=False) -> bool:
-    raw = cfg.get(key, str(default))
+def cfg_bool(cfg, key) -> bool:
+    raw = cfg.get(key, "false")
     if raw.lower() in ("1", "true", "yes", "on"):
         return True
     if raw.lower() in ("0", "false", "no", "off"):
@@ -192,7 +191,7 @@ def _resolve(base: Path, value: str) -> Path:
 
 def solver_config_from(cfg: dict[str, str], method: str, l_max: int) -> SolverConfig:
     """Parse every solver key, then zero the weights `method` does not use."""
-    values = config_values(SolverConfig, {**SOLVER_DEFAULTS, **cfg}, l_max=l_max)
+    values = config_values(SolverConfig, cfg, l_max=l_max)
     if method == "lrr":
         values.update(alpha=0.0, beta=0.0)
     elif method == "sclrr":
@@ -338,9 +337,8 @@ def cmd_cluster(args) -> int:
 def cmd_hierarchy(args) -> int:
     cfg, fm, truth = load_features(args, HIERARCHY_KEYS, "hierarchy")
     seed = seed_from(args, cfg)
-    levels = cfg_int(cfg, "levels")
-    if levels < 1:
-        raise ConfigError(f"levels must be >= 1, got {levels}")
+    hcfg = HierarchyConfig(**config_values(HierarchyConfig, cfg))
+    levels = hcfg.max_level
     # The solver embeds in 2**levels dimensions, so it needs 2**levels <= N.
     if levels >= fm.n_samples.bit_length():
         raise ConfigError(
@@ -348,7 +346,6 @@ def cmd_hierarchy(args) -> int:
             f"2**levels must not exceed N, so levels <= {fm.n_samples.bit_length() - 1}"
         )
     scfg = solver_config_from(cfg, cfg.get("method", "cslrr"), l_max=2**levels)
-    hcfg = HierarchyConfig(**config_values(HierarchyConfig, cfg, max_level=levels))
     tree = hcs_lrr(fm, scfg, hcfg, seed)
     if not tree.solver_converged:
         diag("solver did not converge; tree built from the last iterate")
@@ -409,12 +406,12 @@ def cmd_classify(args) -> int:
     else:
         leaves = _load_leaves_for_classify(args, data_dir)
         train = datasets.load_sequence_dataset(data_dir / "train")
-        classifier = args.classifier or cfg.get("classifier", "knn")
+        classifier = args.classifier or cfg.get("classifier", CLASSIFIERS[0])
         if classifier not in CLASSIFIERS:
             raise ConfigError(
                 f"unknown classifier {classifier!r}; expected one of {CLASSIFIERS}"
             )
-        open_set = args.open or cfg_bool(cfg, "open", False)
+        open_set = args.open or cfg_bool(cfg, "open")
         # Every config value is checked before any sequence is assigned to the leaves.
         if classifier == "knn":
             model = KnnModel(
@@ -422,10 +419,9 @@ def cmd_classify(args) -> int:
             )
         else:
             mode = MODE_ONE_VS_ONE if classifier == "svm-ovo" else MODE_ONE_VS_ALL
-            if open_set and mode != MODE_ONE_VS_ALL:
-                raise ConfigError("open-set SVM requires classifier svm-ova")
+            check_open_set_mode(mode, open_set)
             nu = cfg_float(cfg, "nu") if "nu" in cfg else None
-            c = cfg_float(cfg, "c", 10.0)
+            c = cfg_float(cfg, "c", DEFAULT_C)
             check_svm_params(nu, c)
         for s in train:
             s.assignment = assign_to_leaves(s, leaves)

@@ -44,8 +44,8 @@ class HierarchyConfig:
     min_dim: int = 1
 
     def __post_init__(self):
-        if self.max_level < 1:
-            raise ConfigError("max_level must be >= 1")
+        if self.max_level < 1:  # named by its config key, `levels`
+            raise ConfigError(f"levels must be >= 1, got {self.max_level}")
         if not 0 < self.gamma <= 1:
             raise ConfigError("gamma must be in (0, 1]")
         if not 0 <= self.split_gain < np.inf:

@@ -96,9 +96,9 @@ class SolverConfig:
     """
 
     l_max: int
-    alpha: float
-    beta: float
-    lam: float
+    alpha: float = 1.0
+    beta: float = 0.5
+    lam: float = 1.0
     rho: float = 1.1
     mu0: float = 0.1
     mu_max: float = 1e30

@@ -24,6 +24,7 @@ from .sequences import (
 
 _STEP_EPS = 1e-5
 _BOUND_EPS = 1e-8
+DEFAULT_C = 10.0  # box constraint (soft-margin weight) of every binary model
 
 
 @dataclass
@@ -164,7 +165,7 @@ def check_svm_params(nu: float | None, c: float, tol: float = 1e-3) -> None:
 
 
 def svm_train_binary(
-    k, y, c: float = 10.0, tol: float = 1e-3, max_passes: int | None = None
+    k, y, c: float = DEFAULT_C, tol: float = 1e-3, max_passes: int | None = None
 ) -> BinarySvmModel:
     """Train a binary kernel SVM on a precomputed kernel matrix.
 
@@ -240,6 +241,7 @@ class MulticlassSvmModel:
 
     def __post_init__(self):
         check_open_set_mode(self.mode, self.open_set)
+        check_svm_params(self.nu, self.c)
         rows = [idx[model.alpha != 0] for model, idx in self.models.values()]
         self.support = np.unique(np.concatenate([np.empty(0, int), *rows]))
 
@@ -266,7 +268,7 @@ def svm_train_multiclass(
     leaves: LeafSet,
     mode: str = MODE_ONE_VS_ONE,
     nu: float | None = None,
-    c: float = 10.0,
+    c: float = DEFAULT_C,
     tol: float = 1e-3,
     open_set: bool = False,
 ) -> MulticlassSvmModel:

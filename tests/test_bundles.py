@@ -177,15 +177,17 @@ class TestBundleScalarChecks:
     @pytest.mark.parametrize(
         "tamper, match",
         [
-            (_set("nu", math.nan), "nu must be positive and finite"),
-            (_set("nu", -1.0), "nu must be positive and finite"),
+            (_set("nu", math.nan), "nu must be positive, with a nonzero square"),
+            (_set("nu", -1.0), "nu must be positive, with a nonzero square"),
+            (_set("nu", 1e-200), "nu must be positive, with a nonzero square"),
             (_set("c", 0.0), "c must be positive and finite"),
             (_set("c", math.inf), "c must be positive and finite"),
             (_set_binary("bias", math.nan), "bias and alpha must be finite"),
             (_set_binary_entry("alpha", math.nan), "bias and alpha must be finite"),
             (_set_binary_entry("y", 0.5), "signs y must be"),
         ],
-        ids=["nu-nan", "nu-negative", "c-zero", "c-inf", "bias-nan", "alpha-nan", "y-half"],
+        ids=["nu-nan", "nu-negative", "nu-square-zero", "c-zero", "c-inf", "bias-nan",
+             "alpha-nan", "y-half"],
     )
     def test_svm_scalars(self, tmp_path, tamper, match):
         train, _, leaves = setup_data(seed=7)
@@ -198,5 +200,6 @@ class TestBundleScalarChecks:
         tamper(model)
         path = tmp_path / "svm.uosm"
         save_model_bundle(path, leaves, model)
-        with pytest.raises(DataError, match=match):
+        with pytest.raises(DataError, match=match) as exc:
             load_model_bundle(path)
+        assert str(exc.value).startswith(f"{path}: ")

@@ -751,7 +751,8 @@ class TestReadmeConfigKeys:
         for cls in (SolverConfig, HierarchyConfig, UosSynthConfig, SequenceSynthConfig, KnnModel):
             for f in fields(cls):
                 schema[cli.FIELD_KEYS.get(f.name, f.name)] = f.default
-        schema.update({key: float(value) for key, value in cli.SOLVER_DEFAULTS.items()})
+        # The classify keys no dataclass field holds.
+        schema.update(classifier=cli.CLASSIFIERS[0], c=svm.DEFAULT_C)
         checked = set()
         for keys in readme_config_rows().values():
             for key, text in keys.items():
@@ -763,12 +764,14 @@ class TestReadmeConfigKeys:
                     assert text is None, f"{key} is required, but the README gives {text!r}"
                     continue
                 shown = text.split("\\|")[0].strip("`")
-                if isinstance(expected, str):
+                if isinstance(expected, bool):
+                    assert shown == str(expected).lower(), key
+                elif isinstance(expected, str):
                     assert shown == expected, key
                 else:
                     assert float(shown) == expected, key
         # Every field but those the CLI fills itself.
-        filled = {"l_max", "max_level", "sequences_per_class", "train", "open_set", "ceilings"}
+        filled = {"l_max", "sequences_per_class", "train", "ceilings"}
         assert checked == set(schema) - filled
 
 
@@ -923,7 +926,8 @@ class TestChecksBeforeWork:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            (["--classifier", "svm-ovo", "--open"], "open-set SVM requires classifier svm-ova"),
+            (["--classifier", "svm-ovo", "--open"],
+             "open-set prediction requires a one-vs-all model"),
             (["--classifier", "knn", "--set", "k=0"], "k must be >= 1"),
             (["--classifier", "svm-ovo", "--set", "nu=abc"], "config key nu must be a number"),
             (["--classifier", "svm-ovo", "--set", "nu=-1"], "nu must be positive"),

@@ -342,6 +342,11 @@ class TestTreeSerialization:
 
 
 class TestHierarchyConfig:
+    @pytest.mark.parametrize("max_level", [0, -3])
+    def test_depth_below_one_rejected_naming_the_config_key(self, max_level):
+        with pytest.raises(ConfigError, match=f"^levels must be >= 1, got {max_level}$"):
+            HierarchyConfig(max_level=max_level)
+
     @pytest.mark.parametrize("split_gain", [np.nan, np.inf])
     def test_non_finite_split_gain_rejected(self, split_gain):
         with pytest.raises(ConfigError):

@@ -613,6 +613,10 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             small_config(**{name: value})
 
+    def test_weights_have_the_documented_defaults(self):
+        cfg = SolverConfig(l_max=3)
+        assert (cfg.alpha, cfg.beta, cfg.lam) == (1.0, 0.5, 1.0)
+
 
 class TestGramSvtAgainstSvd:
     """`svt` takes its singular pairs from a scaled Gram eigendecomposition;
