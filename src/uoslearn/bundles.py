@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -142,9 +141,9 @@ def save_model_bundle(path, leaves: LeafSet, model) -> None:
     writer.save(path)
 
 
-def _check(path, ok, message: str) -> None:
+def _check(ok, message: str) -> None:
     if not ok:
-        raise DataError(f"{path}: {message}")
+        raise DataError(message)
 
 
 def load_model_bundle(path):
@@ -154,31 +153,31 @@ def load_model_bundle(path):
     k-NN frames must match their dimension, and the SVM binary models must
     be exactly one per class pair (one-vs-one) or per class (one-vs-all).
     Scalars are range-checked as listed in the README's "File formats".
+    Each failure, the model's own checks included, is a DataError naming
+    the file (see `codec.Reader`).
     """
     with Reader(path, BUNDLE_MAGIC, BUNDLE_VERSION, "model bundle") as reader:
         (kind,) = reader.fields("B")
-        if kind not in KINDS:
-            raise DataError(f"{path}: unknown bundle kind {kind}")
+        _check(kind in KINDS, f"unknown bundle kind {kind}")
         mode, open_set = KINDS[kind]
         leaves = LeafSet(reader.matrices())
         if mode is None:
             k, varsigma, n_ceil = reader.fields("IdI")
             ceilings = dict(reader.fields("id") for _ in range(n_ceil))
-            _check(path, math.isfinite(varsigma), "varsigma must be finite")
-            _check(path, all(map(math.isfinite, ceilings.values())), "ceilings must be finite")
+            _check(math.isfinite(varsigma), "varsigma must be finite")
+            _check(all(map(math.isfinite, ceilings.values())), "ceilings must be finite")
             (n_train,) = reader.fields("I")
             train = []
             for _ in range(n_train):
                 (label,) = reader.fields("i")
                 feats = reader.matrix()
-                if feats.shape[0] != leaves.ambient_dim:
-                    raise DataError(f"{path}: training frames do not match the leaves")
+                _check(len(feats) == leaves.ambient_dim, "training frames do not match the leaves")
                 psi = reader.indices(len(leaves))
                 train.append(SequenceSample(features=feats, label=label, assignment=psi))
             labels = [s.label for s in train]
-            if ceilings and set(ceilings) != set(labels):
-                raise DataError(f"{path}: ceilings do not match the training classes")
-            make = partial(KnnModel, train, k, open_set, varsigma, ceilings or None)
+            _check(not ceilings or set(ceilings) == set(labels),
+                   "ceilings do not match the training classes")
+            model = KnnModel(train, k, open_set, varsigma, ceilings or None)
         else:
             nu, c, n_train = reader.fields("ddI")
             labels = []
@@ -196,18 +195,15 @@ def load_model_bundle(path):
             models = {}
             for _ in range(n_models):
                 ca, cb, bias = reader.fields("iid")
-                if (ca, cb) not in keys:
-                    raise DataError(f"{path}: binary model ({ca}, {cb}) does not fit the bundle")
+                _check((ca, cb) in keys, f"binary model ({ca}, {cb}) does not fit the bundle")
                 idx = reader.indices(n_train)
                 alpha = reader.array("<f8", len(idx))
                 y = reader.array("<f8", len(idx))
-                _check(path, np.isfinite([bias, *alpha]).all(), "bias and alpha must be finite")
-                _check(path, (np.abs(y) == 1).all(), "signs y must be +/-1")
+                _check(np.isfinite([bias, *alpha]).all(), "bias and alpha must be finite")
+                _check((np.abs(y) == 1).all(), "signs y must be +/-1")
                 models[keys[ca, cb]] = (BinarySvmModel(alpha=alpha, y=y, bias=bias), idx)
-            if len(models) != len(keys):
-                raise DataError(f"{path}: bundle lacks binary models")
-            make = partial(
-                MulticlassSvmModel,
+            _check(len(models) == len(keys), "bundle lacks binary models")
+            model = MulticlassSvmModel(
                 mode=mode,
                 classes=classes,
                 train_assignments=assignments,
@@ -217,11 +213,6 @@ def load_model_bundle(path):
                 models=models,
                 open_set=open_set,
             )
-        try:
-            model = make()
-        except ConfigError as exc:  # a k above a class size, or a nu or c training rejects
-            raise DataError(f"{path}: {exc}") from exc
+        _check(labels, "bundle holds no training sequences")
         reader.done()
-    if not labels:
-        raise DataError(f"{path}: bundle holds no training sequences")
     return leaves, model

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UosError
 
 
 def write_file(path, *parts) -> None:
@@ -80,7 +80,8 @@ class Reader:
 
     The file is closed by `done`, by every error the reader raises, and on
     leaving a `with` block, so a caller whose own check fails partway
-    through the file closes it by reading inside `with`.
+    through the file closes it by reading inside `with`, where any package
+    error that does not name the file leaves as a DataError naming it.
     """
 
     def __init__(self, path, magic: bytes, version: int, what: str):
@@ -106,8 +107,10 @@ class Reader:
     def __enter__(self) -> Reader:
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+        if isinstance(exc, UosError) and not str(exc).startswith(f"{self.source}: "):
+            raise DataError(f"{self.source}: {exc}") from exc
 
     def close(self) -> None:
         self._file.close()

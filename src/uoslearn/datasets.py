@@ -11,7 +11,10 @@ Labels are one integer per line, and sequence boundaries one half-open
 features.bin, boundaries.txt and labels.txt, one label per sequence.
 
 Every loader takes the path of the file it reads; a file that is missing,
-unreadable or malformed is a DataError naming that path.
+unreadable or malformed is a DataError naming that path. Feature columns
+must be finite and nonzero, and are scaled to unit l2 norm, with a warning
+if one was off by more than `linalg.UNIT_NORM_TOL`; the `SequenceSample`s
+of a sequence dataset check their columns against it once more.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 from .codec import Reader, Writer, make_dir, write_file
 from .errors import ConfigError, DataError
+from .linalg import UNIT_NORM_TOL
 from .sequences import LeafSet, SequenceSample
 from .solver import FeatureMatrix
 
@@ -30,7 +34,6 @@ FEATURE_MAGIC = b"UOSF"
 LEAVES_MAGIC = b"UOSL"
 FORMAT_VERSION = 1
 
-NORM_WARN_TOL = 1e-6
 BLOCK_BYTES = 8192
 
 
@@ -46,10 +49,8 @@ def _normalize_columns(data: np.ndarray, source) -> np.ndarray:
     if np.any(norms == 0):
         col = int(np.argmin(norms))
         raise DataError(f"{source}: column {col} is identically zero")
-    if np.any(np.abs(norms - 1.0) > NORM_WARN_TOL):
-        warnings.warn(
-            f"{source}: columns renormalized to unit l2 norm", stacklevel=3
-        )
+    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        warnings.warn(f"{source}: columns renormalized to unit l2 norm", stacklevel=3)
     data /= norms  # in place: the same bits as data / norms
     return data
 
@@ -88,7 +89,7 @@ def read_feature_bin(path) -> np.ndarray:
     with Reader(path, FEATURE_MAGIC, FORMAT_VERSION, "feature binary") as reader:
         m, n = reader.fields("II")
         if m == 0 or n == 0:  # checked here: the norms of an m = 0 matrix take N floats
-            raise DataError(f"{path}: empty feature matrix ({m} x {n})")
+            raise DataError(f"empty feature matrix ({m} x {n})")
         reader.need(8 * m * n)  # before the matrix is allocated
         data = np.empty((m, n))
         block = np.empty((min(n, max(1, BLOCK_BYTES // (8 * m))), m))
@@ -170,21 +171,22 @@ def save_leaves(path, leaves: LeafSet) -> None:
 
 def load_leaves(path) -> LeafSet:
     with Reader(path, LEAVES_MAGIC, FORMAT_VERSION, "leaf-basis file") as reader:
-        bases = reader.matrices()
+        leaves = LeafSet(reader.matrices())  # inside: its errors name the file
         reader.done()
-    return LeafSet(bases)
+    return leaves
 
 
 def load_sequence_dataset(directory) -> list[SequenceSample]:
     """Load features.bin + boundaries.txt + labels.txt from a dataset directory."""
     directory = Path(directory)
-    fm = load_feature_matrix(directory / "features.bin")
+    path = directory / "features.bin"
+    data = _normalize_columns(read_feature_bin(path), path)
     labels = load_labels(directory / "labels.txt")
-    spans = load_boundaries(directory / "boundaries.txt", fm.n_samples)
+    spans = load_boundaries(directory / "boundaries.txt", data.shape[1])
     if len(labels) != len(spans):
         raise DataError(f"{directory}: one label per sequence expected")
     return [
-        SequenceSample(features=fm.data[:, start:end], label=int(lbl))
+        SequenceSample(features=data[:, start:end], label=int(lbl))
         for (start, end), lbl in zip(spans, labels)
     ]
 

@@ -259,17 +259,17 @@ def write_tree(tree: HierarchyTree, path) -> None:
 
 
 def read_tree(path) -> HierarchyTree:
-    """Load a tree, rejecting node ids out of order and out-of-range children or samples."""
+    """Load a tree, rejecting misordered node ids, out-of-range children or samples, bad bases."""
     with Reader(path, TREE_MAGIC, TREE_VERSION, "hierarchy tree") as reader:
         n_nodes, max_level, converged, iters, n_samples = reader.fields("IIBII")
         nodes = []
         for position in range(n_nodes):
             node_id, level, divisible, n_kids = reader.fields("IIBB")
             if node_id != position or n_kids not in (0, 2):
-                raise DataError(f"{path}: malformed node record {position}")
+                raise DataError(f"malformed node record {position}")
             kids = tuple(reader.indices(n_nodes, n_kids).tolist())
             indices = reader.indices(n_samples)
-            basis = reader.matrix()
+            basis = as_matrix(reader.matrix(), "node basis")
             nodes.append(
                 SubspaceNode(
                     node_id=node_id,

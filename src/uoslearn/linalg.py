@@ -20,6 +20,8 @@ from .errors import ConfigError, DataError, DimensionError, NumericalError
 
 # Singular values below this are treated as zero in rank-sensitive checks.
 RANK_TOL = 1e-12
+# Largest |norm - 1| of a column that counts as unit l2 norm.
+UNIT_NORM_TOL = 1e-8
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -31,6 +33,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains non-finite entries")
+    return arr
+
+
+def as_unit_columns(a, name: str = "matrix") -> np.ndarray:
+    """`as_matrix(a, name)`, whose columns must be within UNIT_NORM_TOL of unit l2 norm."""
+    arr = as_matrix(a, name)
+    norms = np.linalg.norm(arr, axis=0)
+    j = int(np.argmax(np.abs(norms - 1.0)))
+    if abs(norms[j] - 1.0) > UNIT_NORM_TOL:
+        raise DataError(
+            f"{name} columns must have unit l2 norm; column {j} has norm {float(norms[j])!r}"
+        )
     return arr
 
 

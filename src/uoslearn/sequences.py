@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .linalg import as_matrix
-
-UNIT_NORM_TOL = 1e-6
+from .linalg import as_matrix, as_unit_columns
 
 # Cells of squared differences `_frame_distances` holds at once (512 KiB), unless
 # a single dimension's n x p cells need more.
@@ -34,10 +32,7 @@ class SequenceSample:
     assignment: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = as_matrix(self.features, "sequence features")
-        norms = np.linalg.norm(self.features, axis=0)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-            raise DataError("sequence columns must have unit l2 norm")
+        self.features = as_unit_columns(self.features, "sequence")
         if self.assignment is not None:
             self.assignment = np.asarray(self.assignment, dtype=int)
             if len(self.assignment) != self.length:

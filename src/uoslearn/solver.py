@@ -30,6 +30,7 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError, NumericalError
 from .linalg import (
     as_matrix,
+    as_unit_columns,
     col_l21_prox,
     elementwise_shrink,
     spectral_norm,
@@ -39,8 +40,6 @@ from .linalg import (
 
 ERROR_MODE_COLUMNWISE = "columnwise"
 ERROR_MODE_BLOCKWISE = "blockwise"
-
-UNIT_NORM_TOL = 1e-8
 
 
 @dataclass
@@ -57,13 +56,7 @@ class FeatureMatrix:
     block_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
-        self.data = as_matrix(self.data, "feature matrix")
-        norms = np.linalg.norm(self.data, axis=0)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-            worst = int(np.argmax(np.abs(norms - 1.0)))
-            raise DataError(
-                f"columns must have unit l2 norm; column {worst} has norm {norms[worst]!r}"
-            )
+        self.data = as_unit_columns(self.data, "feature matrix")
         if self.block_shape is not None:
             n_b, bins = self.block_shape
             if n_b < 1 or bins < 1 or n_b * bins != self.m:

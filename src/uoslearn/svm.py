@@ -25,6 +25,7 @@ from .sequences import (
 _STEP_EPS = 1e-5
 _BOUND_EPS = 1e-8
 DEFAULT_C = 10.0  # box constraint (soft-margin weight) of every binary model
+DEFAULT_TOL = 1e-3  # KKT tolerance of the SMO solver
 
 
 @dataclass
@@ -153,7 +154,7 @@ class _Smo:
         return 0
 
 
-def check_svm_params(nu: float | None, c: float, tol: float = 1e-3) -> None:
+def check_svm_params(nu: float | None, c: float, tol: float = DEFAULT_TOL) -> None:
     """Reject an unusable c, tol or (given) bandwidth nu with a ConfigError."""
     # nan or inf c trains a useless model; tol <= 0 spins through the pass budget.
     if not 0 < c < np.inf:
@@ -165,7 +166,7 @@ def check_svm_params(nu: float | None, c: float, tol: float = 1e-3) -> None:
 
 
 def svm_train_binary(
-    k, y, c: float = DEFAULT_C, tol: float = 1e-3, max_passes: int | None = None
+    k, y, c: float = DEFAULT_C, tol: float = DEFAULT_TOL, max_passes: int | None = None
 ) -> BinarySvmModel:
     """Train a binary kernel SVM on a precomputed kernel matrix.
 
@@ -269,7 +270,7 @@ def svm_train_multiclass(
     mode: str = MODE_ONE_VS_ONE,
     nu: float | None = None,
     c: float = DEFAULT_C,
-    tol: float = 1e-3,
+    tol: float = DEFAULT_TOL,
     open_set: bool = False,
 ) -> MulticlassSvmModel:
     """Train the pairwise or per-class binary models over the Gaussian warping kernel.

@@ -21,6 +21,7 @@ import re
 import shutil
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,22 +112,69 @@ def test_damaged_file_is_a_data_error(pipeline, name, data):
     assert code == 2 if truncate and name not in TEXT else code in (0, 2)
 
 
-@pytest.mark.parametrize("name", ["knn", "knn_open"])
-def test_bundle_k_above_a_class_size_is_a_data_error(pipeline, name, capsys):
+def k_of_9(raw, bundle):
     # A k-NN bundle stores u32 k right after its kind byte and leaf bases,
     # which are encoded as in the leaf file after its 8-byte header.
+    leaves, model = bundle
+    at = 9 + 4 + sum(8 + 8 * basis.size for basis in leaves.bases)
+    assert struct.unpack_from("<I", raw, at) == (model.k,) == (1,)
+    return raw[:at] + struct.pack("<I", 9) + raw[at + 4 :]
+
+
+def replaced(raw, matrix, change):
+    """`raw` with the stored row-major float64 bytes of `matrix` replaced by `change(matrix)`."""
+    old = np.ascontiguousarray(matrix, "<f8").tobytes()
+    new = np.ascontiguousarray(change(matrix.copy()), "<f8").tobytes()
+    at = raw.index(old)
+    return raw[:at] + new + raw[at + len(old) :]
+
+
+def nan_first(matrix):
+    matrix[0, 0] = np.nan
+    return matrix
+
+
+# Damage to one stored value that the file's structure cannot show:
+# id -> (file, damage(intact bytes, loaded file), message after the path).
+BAD_VALUES = {
+    "knn-k-above-a-class-size": ("knn", k_of_9, ".* than k=9"),
+    "knn_open-k-above-a-class-size": ("knn_open", k_of_9, ".* than k=9"),
+    "leaves-nan": (
+        "leaves",
+        lambda raw, leaves: replaced(raw, leaves.bases[0], nan_first),
+        "leaf basis contains non-finite entries",
+    ),
+    "tree-node-basis-nan": (
+        "tree",
+        lambda raw, tree: replaced(raw, tree.nodes[0].basis, nan_first),
+        "node basis contains non-finite entries",
+    ),
+    "knn-frame-nan": (
+        "knn",
+        lambda raw, bundle: replaced(raw, bundle[1].train[0].features, nan_first),
+        "sequence contains non-finite entries",
+    ),
+    "knn-frame-doubled": (
+        "knn",
+        lambda raw, bundle: replaced(raw, bundle[1].train[0].features, lambda f: 2 * f),
+        r"sequence columns must have unit l2 norm; column \d+ has norm 2\.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, damage, message", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_bad_value_is_a_data_error_naming_the_file(pipeline, name, damage, message, capsys):
     raw, loader, path, argv = pipeline[name]
-    at = 9 + len(pipeline["leaves"][0]) - 8
-    assert struct.unpack_from("<I", raw, at) == (1,)
     try:
-        path.write_bytes(raw[:at] + struct.pack("<I", 9) + raw[at + 4 :])
-        with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".* than k=9"):
+        path.write_bytes(raw)
+        path.write_bytes(damage(raw, loader(path)))
+        with pytest.raises(DataError, match=re.escape(f"{path}: ") + message):
             loader(path)
         code = cli_main(argv)
     finally:
         path.write_bytes(raw)
     assert code == 2
-    assert f"{path}: " in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 CONFIG_KEYS = sorted(

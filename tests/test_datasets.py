@@ -3,12 +3,14 @@ import re
 import struct
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import unit_columns
+from uoslearn import sequences, solver
 from uoslearn.cli import cli_main
 from uoslearn.datasets import (
     BLOCK_BYTES,
@@ -25,7 +27,9 @@ from uoslearn.datasets import (
     write_labels,
 )
 from uoslearn.errors import ConfigError, DataError
+from uoslearn.linalg import UNIT_NORM_TOL, as_unit_columns
 from uoslearn.sequences import LeafSet, SequenceSample
+from uoslearn.solver import FeatureMatrix
 from uoslearn.synth import (
     SequenceSynthConfig,
     UosSynthConfig,
@@ -232,6 +236,40 @@ class TestLoader:
         assert fm.block_shape == (3, 2)
 
 
+def off_unit(factor: float) -> np.ndarray:
+    """Unit columns but column 1, whose norm is 1 + factor * UNIT_NORM_TOL."""
+    data = np.eye(3)
+    data[:, 1] *= 1.0 + factor * UNIT_NORM_TOL
+    return data
+
+
+class TestUnitNormRule:
+    """FeatureMatrix, SequenceSample and the loader share one tolerance."""
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [(FeatureMatrix, "feature matrix"), (lambda x: SequenceSample(features=x), "sequence")],
+        ids=["FeatureMatrix", "SequenceSample"],
+    )
+    def test_types_accept_half_and_reject_twice_the_tolerance(self, build, name):
+        build(off_unit(0.5))
+        # The norm prints as a plain float, not as np.float64(...).
+        expected = f"{name} columns must have unit l2 norm; column 1 has norm 1.0000000"
+        with pytest.raises(DataError, match=re.escape(expected) + r"\d*$"):
+            build(off_unit(2.0))
+
+    @pytest.mark.parametrize("factor, warns", [(0.5, False), (2.0, True)])
+    def test_loader_warns_beyond_the_tolerance(self, tmp_path, factor, warns):
+        path = tmp_path / "x.bin"
+        write_feature_bin(path, off_unit(factor))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_feature_matrix(path)
+        assert [str(w.message) for w in caught] == (
+            [f"{path}: columns renormalized to unit l2 norm"] if warns else []
+        )
+
+
 class TestLabelsAndBoundaries:
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -275,3 +313,20 @@ class TestSequenceDataset:
         for a, b in zip(samples, loaded):
             assert a.label == b.label
             assert np.allclose(a.features, b.features)
+
+    def test_each_column_is_checked_once(self, tmp_path, monkeypatch):
+        cfg = SequenceSynthConfig(
+            m=10, leaves=3, leaf_dim=2, classes=2, sequences_per_class=3, seed=6
+        )
+        samples, _ = generate_synthetic_sequences(cfg)
+        save_sequence_dataset(tmp_path, samples)
+        checked = []
+
+        def counting(a, name="matrix"):
+            checked.append(np.shape(a)[1])
+            return as_unit_columns(a, name)
+
+        for module in (solver, sequences):  # the FeatureMatrix and the SequenceSample rule
+            monkeypatch.setattr(module, "as_unit_columns", counting)
+        loaded = load_sequence_dataset(tmp_path)
+        assert sum(checked) == sum(s.length for s in loaded) == sum(s.length for s in samples)

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -134,6 +135,13 @@ class TestBinarySvm:
         k = rbf_kernel(np.array([[0.0], [1.0], [3.0], [4.0]]))
         with pytest.raises(ConfigError, match="must be positive and finite"):
             svm_train_binary(k, [1, 1, -1, -1], c=c, tol=tol)
+
+    @pytest.mark.parametrize("fn", [svm.check_svm_params, svm_train_binary, svm_train_multiclass])
+    def test_tol_default_is_default_tol(self, fn):
+        # Equal float literals in one module compile to one constant, so only
+        # the source tells a written-out 1e-3 from the shared DEFAULT_TOL.
+        assert inspect.signature(fn).parameters["tol"].default == svm.DEFAULT_TOL
+        assert "tol: float = DEFAULT_TOL" in inspect.getsource(fn)
 
     def test_deterministic(self, rng):
         pts = rng.standard_normal((16, 2))
