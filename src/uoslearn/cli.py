@@ -529,8 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset directory with train/, test/, leaves.bin")
     p.add_argument("--classifier", choices=CLASSIFIERS)
     p.add_argument("--open", action="store_true", help="open-set prediction")
-    p.add_argument("--tree", help="take leaf bases from a hierarchy tree file")
-    p.add_argument("--leaves", help="take leaf bases from a leaf-basis file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--tree", help="take leaf bases from a hierarchy tree file")
+    source.add_argument("--leaves", help="take leaf bases from a leaf-basis file")
     p.add_argument("--model", help="predict with a saved model bundle")
     p.add_argument("--save-model", help="write the trained model bundle")
     p.set_defaults(func=cmd_classify)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .codec import Reader, Writer
 from .errors import ConfigError, DataError, DimensionError
-from .linalg import RANK_TOL, as_matrix, fix_eigvec_signs
+from .linalg import RANK_TOL, as_matrix, as_orthonormal_columns, fix_eigvec_signs
 from .solver import (
     FeatureMatrix,
     SolverConfig,
@@ -269,7 +269,7 @@ def read_tree(path) -> HierarchyTree:
                 raise DataError(f"malformed node record {position}")
             kids = tuple(reader.indices(n_nodes, n_kids).tolist())
             indices = reader.indices(n_samples)
-            basis = as_matrix(reader.matrix(), "node basis")
+            basis = as_orthonormal_columns(reader.matrix(), "node basis")
             nodes.append(
                 SubspaceNode(
                     node_id=node_id,

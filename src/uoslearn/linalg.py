@@ -20,7 +20,8 @@ from .errors import ConfigError, DataError, DimensionError, NumericalError
 
 # Singular values below this are treated as zero in rank-sensitive checks.
 RANK_TOL = 1e-12
-# Largest |norm - 1| of a column that counts as unit l2 norm.
+# Largest |norm - 1| of a column that counts as unit l2 norm, and largest
+# entry of |B^T B - I| for a basis B that counts as orthonormal.
 UNIT_NORM_TOL = 1e-8
 
 
@@ -44,6 +45,19 @@ def as_unit_columns(a, name: str = "matrix") -> np.ndarray:
     if abs(norms[j] - 1.0) > UNIT_NORM_TOL:
         raise DataError(
             f"{name} columns must have unit l2 norm; column {j} has norm {float(norms[j])!r}"
+        )
+    return arr
+
+
+def as_orthonormal_columns(a, name: str = "matrix") -> np.ndarray:
+    """`as_matrix(a, name)`, whose columns must be orthonormal: max|A^T A - I| <= UNIT_NORM_TOL."""
+    arr = as_matrix(a, name)
+    gram = arr.T @ arr
+    gap = np.abs(gram - np.eye(len(gram)))
+    i, j = np.unravel_index(np.argmax(gap), gap.shape)
+    if gap[i, j] > UNIT_NORM_TOL:
+        raise DataError(
+            f"{name} columns must be orthonormal; Gram entry ({i}, {j}) is {float(gram[i, j])!r}"
         )
     return arr
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-from .linalg import as_matrix, as_unit_columns
+from .linalg import as_matrix, as_orthonormal_columns, as_unit_columns
 
 # Cells of squared differences `_frame_distances` holds at once (512 KiB), unless
 # a single dimension's n x p cells need more.
@@ -45,7 +45,7 @@ class SequenceSample:
 
 @dataclass
 class LeafSet:
-    """Orthonormal bases of the leaf subspaces.
+    """Orthonormal bases of the leaf subspaces, as `as_orthonormal_columns` checks.
 
     `distances` is the symmetric table of subspace distances between all
     leaf pairs, computed once here; every warping cost reads it.
@@ -57,7 +57,7 @@ class LeafSet:
     def __post_init__(self):
         if not self.bases:
             raise DimensionError("leaf set must be nonempty")
-        self.bases = [as_matrix(b, "leaf basis") for b in self.bases]
+        self.bases = [as_orthonormal_columns(b, "leaf basis") for b in self.bases]
         for b in self.bases:
             if b.shape[0] != self.ambient_dim:
                 raise DimensionError("leaf bases must share the ambient dimension")

@@ -38,18 +38,15 @@ from .linalg import (
     sym_eig_smallest,
 )
 
-ERROR_MODE_COLUMNWISE = "columnwise"
-ERROR_MODE_BLOCKWISE = "blockwise"
-
 
 @dataclass
 class FeatureMatrix:
     """An m x N data matrix whose columns are unit-norm feature vectors.
 
-    `block_shape = (n_blocks, bins)` describes the per-column block layout
-    used by the blockwise error regularizer: column entries
-    [k*bins:(k+1)*bins] form the histogram of block k, so a column reshapes
-    to an (n_blocks, bins) matrix in row-major order.
+    `block_shape = (n_blocks, bins)` marks block-structured (HOG-style)
+    features: column entries [k*bins:(k+1)*bins] form the histogram of
+    block k, so a column reshapes to an (n_blocks, bins) matrix in row-major
+    order. The solver's error term then shrinks each block, not each column.
     """
 
     data: np.ndarray
@@ -80,10 +77,8 @@ class SolverConfig:
     l_max: number of spectral embedding columns carried by F.
     alpha: weight of the structure penalty B o Q.
     beta: weight of the clustering disagreement penalty.
-    lam: weight of the error term.
-    error_mode: 'columnwise' shrinks whole columns of E; 'blockwise'
-        shrinks per-block rows of each reshaped column and requires the
-        feature matrix to carry a block_shape.
+    lam: weight of the error term, whose groups the feature matrix's
+        block_shape sets (see FeatureMatrix).
     coeff_threshold: relative magnitude below which coefficients are
         zeroed before building the affinity matrix.
     """
@@ -98,7 +93,6 @@ class SolverConfig:
     epsilon: float = 1e-7
     eta_factor: float = 1.02
     max_iters: int = 500
-    error_mode: str = ERROR_MODE_COLUMNWISE
     coeff_threshold: float = 0.05
 
     def __post_init__(self):
@@ -124,8 +118,6 @@ class SolverConfig:
             raise ConfigError("eta_factor must be > 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.error_mode not in (ERROR_MODE_COLUMNWISE, ERROR_MODE_BLOCKWISE):
-            raise ConfigError(f"unknown error_mode {self.error_mode!r}")
         if not 0 <= self.coeff_threshold <= 1:
             raise ConfigError("coeff_threshold must be in [0, 1]")
 
@@ -259,22 +251,15 @@ def update_f(state: SolverState, config: SolverConfig) -> tuple[np.ndarray, np.n
 def update_e(state: SolverState, x: FeatureMatrix, config: SolverConfig) -> np.ndarray:
     """Group shrinkage of C = X - XZ + G1/mu at level lam/mu.
 
-    Columnwise mode shrinks whole columns; blockwise mode reshapes each
-    column to (n_blocks, bins) and shrinks each block row independently.
+    The groups are C's columns, or its blocks when the features carry a
+    block_shape (n_blocks, bins): one col_l21_prox runs on a view of C with
+    one column per group (block k of column j is column j*n_blocks + k).
     """
     c = x.data - x.data @ state.z + state.g1 / state.mu
     tau = config.lam / state.mu
-    if config.error_mode == ERROR_MODE_COLUMNWISE:
-        return col_l21_prox(c, tau)
-    if x.block_shape is None:
-        raise ConfigError("blockwise error mode requires a feature block_shape")
-    n_b, bins = x.block_shape
-    blocks = c.T.reshape(x.n_samples, n_b, bins)
-    norms = np.linalg.norm(blocks, axis=2)
-    scale = np.zeros_like(norms)
-    nz = norms > 0
-    scale[nz] = np.maximum(1.0 - tau / norms[nz], 0.0)
-    return (blocks * scale[:, :, None]).reshape(x.n_samples, x.m).T
+    size = x.m if x.block_shape is None else x.block_shape[1]
+    groups = col_l21_prox(c.T.reshape(-1, size).T, tau)
+    return groups.T.reshape(x.n_samples, x.m).T
 
 
 def cslrr_solve(
@@ -305,8 +290,6 @@ def cslrr_solve(
         raise DimensionError(
             f"need at least l_max={config.l_max} samples, got {x.n_samples}"
         )
-    if config.error_mode == ERROR_MODE_BLOCKWISE and x.block_shape is None:
-        raise ConfigError("blockwise error mode requires a feature block_shape")
 
     weights = (
         build_weight_matrix(x)

@@ -10,16 +10,17 @@ from uoslearn import cli, hierarchy, sequences, svm
 from uoslearn.bundles import KnnModel
 from uoslearn.cli import cli_main
 from conftest import write_feature_csv
-from uoslearn.datasets import write_feature_bin, write_labels
+from uoslearn.datasets import load_feature_matrix, write_feature_bin, write_labels
 from uoslearn.hierarchy import HierarchyConfig
-from uoslearn.solver import SolverConfig
+from uoslearn.solver import SolverConfig, build_affinity, cslrr_solve, threshold_coefficients
+from uoslearn.spectral import spectral_cluster
 from uoslearn.synth import SequenceSynthConfig, UosSynthConfig, generate_synthetic_uos
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 DATA_KEYS = {"data", "format", "labels", "block_rows", "block_bins"}
 SOLVER_KEYS = {
     "method", "alpha", "beta", "lambda", "rho", "mu0", "mu_max", "epsilon", "eta_factor",
-    "max_iters", "error_mode", "coeff_threshold",
+    "max_iters", "coeff_threshold",
 }
 
 
@@ -233,6 +234,29 @@ class TestClusterCommand:
             assert fields["r1"] == f"{float(r1):.6e}"
             assert fields["r2"] == f"{float(r2):.6e}"
 
+    def test_block_keys_select_the_block_error_term(self, tmp_path, uos_dataset, capsys):
+        # block_rows/block_bins alone select the block term: the run matches a
+        # library solve on the blocked matrix and differs from one without them.
+        # At lambda = 0.3 both error terms are active on this data (at 10, E stays 0).
+        runs = {}
+        for name, extra in (("blocks", dict(block_rows=4, block_bins=5)), ("columns", {})):
+            cfg = self.make_cfg(tmp_path, uos_dataset, **{"lambda": 0.3}, **extra)
+            csv_out = tmp_path / f"{name}.csv"
+            code, records, _ = run_cli(
+                capsys, "cluster", "--config", cfg, "--seed", "1", "--emit-csv", str(csv_out)
+            )
+            assert code == 0
+            runs[name] = (records[0]["labels"], csv_out.read_text())
+        fm = load_feature_matrix(uos_dataset / "features.bin", block_shape=(4, 5))
+        scfg = SolverConfig(l_max=3, alpha=1.0, beta=0.5, lam=0.3, max_iters=300)
+        result = cslrr_solve(fm, scfg)
+        w = build_affinity(threshold_coefficients(result.z, scfg.coeff_threshold))
+        labels, csv = runs["blocks"]
+        assert labels == spectral_cluster(w, 3, 1).tolist()
+        rows = [row.split(",")[1:] for row in csv.splitlines()[1:]]
+        assert [[float(r) for r in row] for row in rows] == result.residual_history.tolist()
+        assert csv != runs["columns"][1]
+
 
 class TestHierarchyCommand:
     def test_tree_and_summary_written(self, tmp_path, uos_dataset, capsys):
@@ -368,6 +392,25 @@ class TestClassifyCommand:
         assert f"--model cannot be combined with {flag}" in err
         assert records == []
         assert not other.exists()
+
+    def test_tree_and_leaves_together_exit_2(self, tmp_path, uos_dataset, seq_dataset, capsys):
+        # Both name the leaf bases; neither may be silently dropped.
+        kv = dict(data=str(uos_dataset / "features.bin"), levels=2, method="sclrr")
+        kv["lambda"] = 10.0
+        tree = tmp_path / "tree.uost"
+        code, _, _ = run_cli(
+            capsys, "hierarchy", "--config", write_config(tmp_path / "h.cfg", **kv),
+            "--out", str(tree),
+        )
+        assert code == 0
+        data = ["classify", "--data", str(seq_dataset), "--classifier", "knn"]
+        assert run_cli(capsys, *data, "--tree", str(tree))[0] == 0
+        code, records, err = run_cli(
+            capsys, *data, "--tree", str(tree), "--leaves", str(seq_dataset / "leaves.bin")
+        )
+        assert code == 2
+        assert records == []
+        assert "argument --leaves: not allowed with argument --tree" in err
 
     @pytest.mark.parametrize("damage, message", [(None, "dimension"), (-1, "truncated")])
     def test_unusable_tree_exits_2(self, tmp_path, uos_dataset, capsys, damage, message):
@@ -577,6 +620,16 @@ class TestConfigKeys:
         assert records == []
         assert "unknown config key(s) for cluster: 'lamda'" in err
         assert "lambda" in err.split("accepted keys:")[1]
+
+    def test_error_mode_key_exits_2(self, uos_dataset, capsys):
+        # The features' block layout picks the error term; no key names it.
+        code, records, err = run_cli(
+            capsys, "cluster", "--clusters", "3",
+            "--set", f"data={uos_dataset / 'features.bin'}", "--set", "error_mode=blockwise",
+        )
+        assert code == 2
+        assert records == []
+        assert "unknown config key(s) for cluster: 'error_mode';" in err
 
     @pytest.mark.parametrize("command", ["cluster", "hierarchy"])
     def test_boundaries_key_exits_2(self, tmp_path, uos_dataset, capsys, command):

@@ -134,6 +134,13 @@ def nan_first(matrix):
     return matrix
 
 
+def tripled(matrix):
+    return 3 * matrix
+
+
+NOT_ORTHONORMAL = r"basis columns must be orthonormal; Gram entry \((\d), \1\) is 9\.0"
+
+
 # Damage to one stored value that the file's structure cannot show:
 # id -> (file, damage(intact bytes, loaded file), message after the path).
 BAD_VALUES = {
@@ -144,10 +151,25 @@ BAD_VALUES = {
         lambda raw, leaves: replaced(raw, leaves.bases[0], nan_first),
         "leaf basis contains non-finite entries",
     ),
+    "leaves-scaled": (
+        "leaves",
+        lambda raw, leaves: replaced(raw, leaves.bases[0], tripled),
+        "leaf " + NOT_ORTHONORMAL,
+    ),
     "tree-node-basis-nan": (
         "tree",
         lambda raw, tree: replaced(raw, tree.nodes[0].basis, nan_first),
         "node basis contains non-finite entries",
+    ),
+    "tree-node-basis-scaled": (
+        "tree",
+        lambda raw, tree: replaced(raw, tree.nodes[0].basis, tripled),
+        "node " + NOT_ORTHONORMAL,
+    ),
+    "knn-leaf-basis-scaled": (
+        "knn",
+        lambda raw, bundle: replaced(raw, bundle[0].bases[0], tripled),
+        "leaf " + NOT_ORTHONORMAL,
     ),
     "knn-frame-nan": (
         "knn",

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import random_orthonormal, unit_columns
 from uoslearn import sequences
 from uoslearn.bundles import KnnModel
 from uoslearn.errors import ConfigError, DataError, DimensionError
+from uoslearn.linalg import UNIT_NORM_TOL
 from uoslearn.sequences import (
     FRAME_BLOCK_CELLS,
     LeafSet,
@@ -627,3 +629,17 @@ class TestValidation:
     def test_empty_leafset_rejected(self):
         with pytest.raises(DimensionError):
             LeafSet([])
+
+    @pytest.mark.parametrize("entry", [(1, 1), (0, 1)], ids=["norm", "angle"])
+    def test_leaf_bases_accept_half_and_reject_twice_the_tolerance(self, entry):
+        def basis(factor):
+            # Gram entry `entry` off by factor * UNIT_NORM_TOL, every other one exact.
+            b = np.eye(3)[:, :2]
+            gap = factor * UNIT_NORM_TOL
+            b[:, 1] = [0.0, np.sqrt(1 + gap), 0.0] if entry == (1, 1) else [gap, 1.0, 0.0]
+            return b
+
+        LeafSet([basis(0.5)])
+        expected = f"leaf basis columns must be orthonormal; Gram entry {entry} is "
+        with pytest.raises(DataError, match=re.escape(expected)):
+            LeafSet([basis(2.0)])
