@@ -52,7 +52,7 @@ def config_keys(cls, *given: str) -> tuple[str, ...]:
 
 # The config keys each subcommand reads; any other key is a ConfigError.
 DATA_KEYS = ("data", "format", "labels", "block_rows", "block_bins")
-SOLVER_KEYS = ("method", *config_keys(SolverConfig, "l_max"))
+SOLVER_KEYS = ("method", *config_keys(SolverConfig))
 SYNTH_KEYS = {
     "uos": config_keys(UosSynthConfig, "seed"),
     "sequences": (
@@ -189,9 +189,9 @@ def _resolve(base: Path, value: str) -> Path:
     return p if p.is_absolute() else base / p
 
 
-def solver_config_from(cfg: dict[str, str], method: str, l_max: int) -> SolverConfig:
+def solver_config_from(cfg: dict[str, str], method: str) -> SolverConfig:
     """Parse every solver key, then zero the weights `method` does not use."""
-    values = config_values(SolverConfig, cfg, l_max=l_max)
+    values = config_values(SolverConfig, cfg)
     if method == "lrr":
         values.update(alpha=0.0, beta=0.0)
     elif method == "sclrr":
@@ -303,13 +303,9 @@ def cmd_cluster(args) -> int:
     if args.beta is not None:
         cfg["beta"] = str(args.beta)
     k = args.clusters if args.clusters is not None else cfg_int(cfg, "clusters")
-    if k < 1:
-        raise ConfigError(f"clusters must be >= 1, got {k}")
-    if k > fm.n_samples:
-        raise ConfigError(f"clusters={k} exceeds the number of samples N={fm.n_samples}")
     seed = seed_from(args, cfg)
-    scfg = solver_config_from(cfg, method, l_max=k)
-    result = cslrr_solve(fm, scfg, callback=_log_residuals if args.verbose else None)
+    scfg = solver_config_from(cfg, method)
+    result = cslrr_solve(fm, scfg, k, callback=_log_residuals if args.verbose else None)
     if not result.converged:
         diag(f"solver did not converge within {scfg.max_iters} iterations")
     w = build_affinity(threshold_coefficients(result.z, scfg.coeff_threshold))
@@ -338,14 +334,7 @@ def cmd_hierarchy(args) -> int:
     cfg, fm, truth = load_features(args, HIERARCHY_KEYS, "hierarchy")
     seed = seed_from(args, cfg)
     hcfg = HierarchyConfig(**config_values(HierarchyConfig, cfg))
-    levels = hcfg.max_level
-    # The solver embeds in 2**levels dimensions, so it needs 2**levels <= N.
-    if levels >= fm.n_samples.bit_length():
-        raise ConfigError(
-            f"levels={levels} is too deep for N={fm.n_samples} samples: "
-            f"2**levels must not exceed N, so levels <= {fm.n_samples.bit_length() - 1}"
-        )
-    scfg = solver_config_from(cfg, cfg.get("method", "cslrr"), l_max=2**levels)
+    scfg = solver_config_from(cfg, cfg.get("method", "cslrr"))
     tree = hcs_lrr(fm, scfg, hcfg, seed)
     if not tree.solver_converged:
         diag("solver did not converge; tree built from the last iterate")
@@ -358,7 +347,7 @@ def cmd_hierarchy(args) -> int:
     emit(
         {
             "record": "hierarchy",
-            "levels": levels,
+            "levels": hcfg.max_level,
             "n_samples": fm.n_samples,
             "leaves": len(leaves),
             "leaf_sizes": [n.size for n in leaves],

@@ -9,7 +9,8 @@ the payload; a pipe, which has no size until it is read, is read whole
 first. It checks every declared size against the bytes that remain
 before it allocates, every index against its bound, and that nothing
 follows the last field; each failure, an unreadable file included, is a
-DataError, as is a path `write_file` or `make_dir` cannot write.
+DataError, as is a path `write_file` or `make_dir` cannot write. A file
+`write_file` writes is either written whole or left as it was.
 """
 
 from __future__ import annotations
@@ -27,11 +28,41 @@ from .errors import DataError, UosError
 
 def write_file(path, *parts) -> None:
     """Write `parts` (bytes, or C-contiguous arrays) to `path` one after
-    another; an unwritable path is a DataError naming it."""
+    another, all or nothing; an unwritable path is a DataError naming it.
+
+    The parts go to a new sibling file, which then replaces the target: a
+    write that fails or is interrupted removes the sibling and leaves the
+    target as it was. A symlink keeps pointing at the replaced file, and a
+    file that existed keeps its permission bits. A target that exists and
+    is not a regular file (a FIFO, /dev/stderr) is written in place, since
+    replacing it would replace the node.
+    """
     try:
-        with open(path, "wb") as fh:
-            for part in parts:
-                fh.write(part)
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "wb") as fh:
+                fh.writelines(parts)
+            return
+        # After the check: /dev/stdout on a pipe resolves to no file.
+        target = os.path.realpath(path)
+        head, name = os.path.split(target)
+        sibling = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+        fh = open(sibling, "xb")
+        try:
+            with fh:
+                fh.writelines(parts)
+            if mode is not None:
+                os.chmod(sibling, stat.S_IMODE(mode))
+            os.replace(sibling, target)
+        except BaseException:  # KeyboardInterrupt too: no sibling is left behind
+            try:
+                os.unlink(sibling)
+            except OSError:
+                pass
+            raise
     except OSError as exc:
         raise DataError(f"{path}: cannot write: {exc}") from exc
 

@@ -10,7 +10,7 @@ clear a minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,22 +177,26 @@ def hcs_lrr(
 ) -> HierarchyTree:
     """Build the full hierarchy from one solver run.
 
-    The solver's embedding width is forced to 2**max_level (the largest
-    possible leaf count). Each level calls try_split on every divisible
-    node of the level above, starting from a level-0 node (not stored) that
-    holds every sample; a node is created divisible when it holds at least
+    The solver embeds in 2**max_level <= N columns (the largest possible
+    leaf count). Each level calls try_split on every divisible node of the
+    level above, starting from a level-0 node (not stored) that holds
+    every sample; a node is created divisible when it holds at least
     two samples, and one that does not split becomes a non-divisible leaf.
     If the root does not split, the tree is one level-1 leaf holding
     every sample. Solver non-convergence is recorded on the tree rather
     than raised.
     """
     n = x.n_samples
+    p_max = hier_config.max_level
+    if p_max >= n.bit_length():  # named by its config key, `levels`
+        raise ConfigError(
+            f"levels={p_max} is too deep for N={n} samples: "
+            f"2**levels must not exceed N, so levels <= {n.bit_length() - 1}"
+        )
     if n < 4:
         raise DimensionError("need at least 4 samples")
-    p_max = hier_config.max_level
-    scfg = replace(solver_config, l_max=2**p_max)
-    result = cslrr_solve(x, scfg)
-    w = build_affinity(threshold_coefficients(result.z, scfg.coeff_threshold))
+    result = cslrr_solve(x, solver_config, 2**p_max)
+    w = build_affinity(threshold_coefficients(result.z, solver_config.coeff_threshold))
 
     rng = np.random.default_rng(seed)
     nodes: list[SubspaceNode] = []

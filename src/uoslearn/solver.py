@@ -72,9 +72,9 @@ class FeatureMatrix:
 
 @dataclass
 class SolverConfig:
-    """Parameters of the representation solver.
+    """Parameters of the representation solver; the width of F, the cluster
+    count, is an argument of the solve (see cslrr_solve).
 
-    l_max: number of spectral embedding columns carried by F.
     alpha: weight of the structure penalty B o Q.
     beta: weight of the clustering disagreement penalty.
     lam: weight of the error term, whose groups the feature matrix's
@@ -83,7 +83,6 @@ class SolverConfig:
         zeroed before building the affinity matrix.
     """
 
-    l_max: int
     alpha: float = 1.0
     beta: float = 0.5
     lam: float = 1.0
@@ -96,8 +95,6 @@ class SolverConfig:
     coeff_threshold: float = 0.05
 
     def __post_init__(self):
-        if self.l_max < 1:
-            raise ConfigError("l_max must be >= 1")
         numbers = (
             self.alpha, self.beta, self.lam, self.rho, self.mu0, self.mu_max,
             self.epsilon, self.eta_factor, self.coeff_threshold,
@@ -220,12 +217,12 @@ def update_q(state: SolverState, weights: np.ndarray, config: SolverConfig) -> n
     return elementwise_shrink(state.z + state.g2 / state.mu, thresholds, 1.0)
 
 
-def update_f(state: SolverState, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+def update_f(state: SolverState, clusters: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest-eigenvector embedding of the current Laplacian, plus Theta.
 
     M = diag(v) - W for the graph W = (|Q| + |Q^T|)/2 of the current Q and
     its degrees v_i = sum_j (|q_ij| + |q_ji|)/2; F collects the
-    eigenvectors of the l_max smallest eigenvalues, and
+    eigenvectors of the `clusters` smallest eigenvalues, and
     theta_ij = 0.5*||f^i - f^j||^2 measures row disagreement of the
     embedding.
     """
@@ -237,7 +234,7 @@ def update_f(state: SolverState, config: SolverConfig) -> tuple[np.ndarray, np.n
     m /= 2.0
     np.subtract(0.0, m, out=m)
     m[np.diag_indices_from(m)] += v
-    f = sym_eig_smallest(m, config.l_max)
+    f = sym_eig_smallest(m, clusters)
     del m
     sq = (f * f).sum(axis=1)
     theta = np.add.outer(sq, sq)
@@ -265,10 +262,12 @@ def update_e(state: SolverState, x: FeatureMatrix, config: SolverConfig) -> np.n
 def cslrr_solve(
     x: FeatureMatrix,
     config: SolverConfig,
+    clusters: int,
     callback: Callable[[SolverState], None] | None = None,
 ) -> SolveResult:
     """Run the alternating scheme until both constraint residuals fall below epsilon.
 
+    F has `clusters` columns; 1 <= clusters <= N is checked before any work.
     Iterates Z -> Q -> F -> E updates, multiplier ascent
     G1 += mu(X - XZ - E), G2 += mu(Z - Q), and mu <- min(mu_max, rho*mu),
     stopping when ||X - XZ - E||_inf <= eps and ||Z - Q||_inf <= eps or
@@ -286,9 +285,11 @@ def cslrr_solve(
     same as in sequential order, and the state passed to `callback` after
     iteration t holds the Theta of iteration t-1.
     """
-    if x.n_samples < config.l_max:
+    if clusters < 1:
+        raise ConfigError(f"clusters must be >= 1, got {clusters}")
+    if clusters > x.n_samples:
         raise DimensionError(
-            f"need at least l_max={config.l_max} samples, got {x.n_samples}"
+            f"clusters={clusters} exceeds the number of samples N={x.n_samples}"
         )
 
     weights = (
@@ -299,7 +300,7 @@ def cslrr_solve(
     state = init_state(x, config)
 
     def f_step():
-        _, state.theta = update_f(state, config)
+        _, state.theta = update_f(state, clusters)
 
     converged = False
     for _ in range(config.max_iters):

@@ -61,7 +61,6 @@ def converged_instance():
     )
     fm, truth = generate_synthetic_uos(cfg)
     scfg = SolverConfig(
-        l_max=5,
         alpha=1.0,
         beta=0.5,
         lam=10.0,
@@ -71,7 +70,7 @@ def converged_instance():
         max_iters=500,
     )
     start = time.perf_counter()
-    result = cslrr_solve(fm, scfg)
+    result = cslrr_solve(fm, scfg, 5)
     elapsed = time.perf_counter() - start
     return fm, truth, scfg, result, elapsed
 
@@ -108,12 +107,13 @@ def test_criterion_3_degeneration_equivalence():
         fm = FeatureMatrix(x)
 
         lrr_cfg = SolverConfig(
-            l_max=3, alpha=0.0, beta=0.0, lam=0.8, max_iters=n_iters, epsilon=1e-16
+            alpha=0.0, beta=0.0, lam=0.8, max_iters=n_iters, epsilon=1e-16
         )
         seen = []
         cslrr_solve(
             fm,
             lrr_cfg,
+            3,
             callback=lambda s: seen.append((s.z.copy(), s.q.copy(), s.e.copy())),
         )
         ref = reference_lrr_iterates(x, 0.8, n_iters)
@@ -122,12 +122,13 @@ def test_criterion_3_degeneration_equivalence():
                 assert np.abs(a - b).max() < 1e-10
 
         sc_cfg = SolverConfig(
-            l_max=3, alpha=1.1, beta=0.0, lam=0.8, max_iters=n_iters, epsilon=1e-16
+            alpha=1.1, beta=0.0, lam=0.8, max_iters=n_iters, epsilon=1e-16
         )
         seen = []
         cslrr_solve(
             fm,
             sc_cfg,
+            3,
             callback=lambda s: seen.append((s.z.copy(), s.q.copy(), s.e.copy())),
         )
         weights = build_weight_matrix(fm)
@@ -248,7 +249,7 @@ def test_criterion_6_grassmann_distance():
 
 
 def test_criterion_7_hierarchy_recovery():
-    scfg = SolverConfig(l_max=8, alpha=1.0, beta=0.5, lam=10.0, max_iters=400)
+    scfg = SolverConfig(alpha=1.0, beta=0.5, lam=10.0, max_iters=400)
     hcfg = HierarchyConfig(max_level=3, gamma=0.98, split_gain=0.01, min_dim=1)
     accs = []
     for seed in range(5):

@@ -95,10 +95,10 @@ def test_embedding_spans_open_only_when_beta_positive(tracer, beta):
     # At beta = 0 the solver skips the F step, so its spans read 0; at beta > 0
     # it skips only the last iteration's, whose Theta nothing reads.
     x = FeatureMatrix(unit_columns(np.random.default_rng(3).standard_normal((6, 10))))
-    cfg = SolverConfig(l_max=3, alpha=1.0, beta=beta, lam=1.0, max_iters=15)
+    cfg = SolverConfig(alpha=1.0, beta=beta, lam=1.0, max_iters=15)
     run = tracer.Tracer()
     with run.installed():
-        result = cslrr_solve(x, cfg)
+        result = cslrr_solve(x, cfg, 3)
     spans = Counter(s.name for s in run.spans)
     expected = result.iterations - 1 if beta > 0 else 0
     assert spans["solver.z_step"] == result.iterations > 0

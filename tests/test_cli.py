@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -6,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uoslearn import cli, hierarchy, sequences, svm
+from uoslearn import cli, codec, hierarchy, sequences, svm
 from uoslearn.bundles import KnnModel
 from uoslearn.cli import cli_main
-from conftest import write_feature_csv
+from conftest import fail_second_write, write_feature_csv
 from uoslearn.datasets import load_feature_matrix, write_feature_bin, write_labels
 from uoslearn.hierarchy import HierarchyConfig
 from uoslearn.solver import SolverConfig, build_affinity, cslrr_solve, threshold_coefficients
@@ -248,8 +250,8 @@ class TestClusterCommand:
             assert code == 0
             runs[name] = (records[0]["labels"], csv_out.read_text())
         fm = load_feature_matrix(uos_dataset / "features.bin", block_shape=(4, 5))
-        scfg = SolverConfig(l_max=3, alpha=1.0, beta=0.5, lam=0.3, max_iters=300)
-        result = cslrr_solve(fm, scfg)
+        scfg = SolverConfig(alpha=1.0, beta=0.5, lam=0.3, max_iters=300)
+        result = cslrr_solve(fm, scfg, 3)
         w = build_affinity(threshold_coefficients(result.z, scfg.coeff_threshold))
         labels, csv = runs["blocks"]
         assert labels == spectral_cluster(w, 3, 1).tolist()
@@ -824,7 +826,7 @@ class TestReadmeConfigKeys:
                 else:
                     assert float(shown) == expected, key
         # Every field but those the CLI fills itself.
-        filled = {"l_max", "sequences_per_class", "train", "ceilings"}
+        filled = {"sequences_per_class", "train", "ceilings"}
         assert checked == set(schema) - filled
 
 
@@ -975,6 +977,27 @@ class TestChecksBeforeWork:
         assert records == []
         assert f"{named}: cannot write" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["hierarchy", "classify"])
+    def test_failed_output_write_keeps_the_old_file(
+        self, tmp_path, uos_dataset, seq_dataset, capsys, monkeypatch, command
+    ):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        target = out_dir / "old.bin"
+        target.write_bytes(b"an earlier run's output")
+        argv = {
+            "hierarchy": ["hierarchy", "--set", "levels=2", "--set", "method=sclrr",
+                          "--set", f"data={uos_dataset / 'features.bin'}", "--out"],
+            "classify": ["classify", "--data", str(seq_dataset), "--classifier", "svm-ovo",
+                         "--save-model"],
+        }[command]
+        fail_second_write(monkeypatch, codec, OSError(errno.ENOSPC, "No space left on device"))
+        code, _, err = run_cli(capsys, *argv, str(target))
+        assert code == 2
+        assert f"{target}: cannot write: " in err
+        assert target.read_bytes() == b"an earlier run's output"
+        assert os.listdir(out_dir) == ["old.bin"]
 
     @pytest.mark.parametrize(
         "overrides, message",

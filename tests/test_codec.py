@@ -8,14 +8,19 @@ field into one `bytes` object before writing it, and requires the same
 bytes from the streaming `Writer`.
 """
 
+import errno
 import os
+import stat
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_orthonormal, unit_columns
+from conftest import fail_second_write, random_orthonormal, unit_columns
 from uoslearn.bundles import (
     KIND_KNN,
     KIND_KNN_OPEN,
@@ -231,6 +236,75 @@ class TestCodec:
         assert got.tobytes() == mat.tobytes()
         with pytest.raises(DataError, match="truncated"):
             self.read_through_pipe(tmp_path, raw[:-8]).matrices()
+
+
+class TestAllOrNothingWrites:
+    """`write_file` replaces its target whole or leaves it as it was."""
+
+    @pytest.mark.parametrize("old", [b"old contents", None], ids=["existing", "new"])
+    @pytest.mark.parametrize(
+        "error",
+        [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+        ids=["enospc", "interrupt"],
+    )
+    def test_failed_write_leaves_the_target_as_it_was(self, tmp_path, monkeypatch, old, error):
+        target = tmp_path / "out.bin"
+        if old is not None:
+            target.write_bytes(old)
+        fail_second_write(monkeypatch, codec, error)
+        with pytest.raises((DataError, KeyboardInterrupt)) as caught:
+            write_file(target, b"new ", np.arange(3.0))
+        if isinstance(error, OSError):
+            assert caught.type is DataError
+            assert str(caught.value).startswith(f"{target}: cannot write: ")
+        else:
+            assert caught.type is KeyboardInterrupt
+        assert os.listdir(tmp_path) == ([] if old is None else ["out.bin"])
+        if old is not None:
+            assert target.read_bytes() == old
+
+    def test_symlink_kept_and_the_file_it_names_replaced(self, tmp_path):
+        real, link = tmp_path / "real.bin", tmp_path / "link.bin"
+        real.write_bytes(b"old")
+        link.symlink_to(real)
+        write_file(link, b"new")
+        assert link.is_symlink() and real.read_bytes() == b"new"
+        assert sorted(os.listdir(tmp_path)) == ["link.bin", "real.bin"]
+
+    def test_permission_bits_kept_or_defaulted(self, tmp_path):
+        target, fresh, plain = tmp_path / "out.bin", tmp_path / "fresh.bin", tmp_path / "plain"
+        target.write_bytes(b"old")
+        target.chmod(0o640)
+        write_file(target, b"new")
+        write_file(fresh, b"new")
+        plain.write_bytes(b"new")  # a file `open` creates, under the same umask
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert fresh.stat().st_mode == plain.stat().st_mode
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_file(fifo, b"abc", np.arange(3.0))
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [b"abc" + np.arange(3.0).tobytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["out.pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_dev_stdout_on_a_pipe_written_in_place(self):
+        # /dev/stdout names the pipe, but its resolved path names no file.
+        code = "from uoslearn.codec import write_file; write_file('/dev/stdout', b'abc')"
+        src = str(Path(codec.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, b"abc"), done.stderr
 
 
 class TestLoadersCloseTheirFiles:

@@ -44,7 +44,7 @@ def shared_direction_data(m, d, n_per, seed, shared_scale=0.35):
 
 
 def hier_solver_config(**kw):
-    base = dict(l_max=8, alpha=1.0, beta=0.5, lam=10.0, max_iters=400)
+    base = dict(alpha=1.0, beta=0.5, lam=10.0, max_iters=400)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -243,7 +243,7 @@ class TestHcsLrr:
     def test_leaves_are_never_resplit(self):
         fm, _ = shared_direction_data(50, 4, 10, seed=7)
         hcfg = HierarchyConfig(max_level=4, gamma=0.98, split_gain=0.01, min_dim=1)
-        tree = hcs_lrr(fm, hier_solver_config(l_max=16), hcfg, seed=3)
+        tree = hcs_lrr(fm, hier_solver_config(), hcfg, seed=3)
         for node in tree.nodes:
             if not node.divisible:
                 assert node.children is None
@@ -277,7 +277,7 @@ class TestHcsLrr:
         fm, _ = generate_synthetic_uos(
             UosSynthConfig(m=6, subspaces=2, dim=2, points_per_subspace=5, seed=1)
         )
-        scfg = SolverConfig(l_max=8, alpha=1.0, beta=0.0, lam=10.0)
+        scfg = SolverConfig(alpha=1.0, beta=0.0, lam=10.0)
         tree = hcs_lrr(fm, scfg, HierarchyConfig(max_level=3), seed=0)
         summary = tree_summary(tree).splitlines()
         assert "node=3 level=2 size=1 dim=1 divisible=0 children=-" in summary
@@ -297,10 +297,34 @@ class TestHcsLrr:
         assert np.array_equal(leaf.basis, basis)
         assert tree.leaves() == [leaf]
 
+    def test_too_deep_rejected_before_the_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(hierarchy, "cslrr_solve", no_solve)
+        fm, _ = shared_direction_data(50, 4, 9, seed=0)  # N = 36 < 2**6
+        with pytest.raises(ConfigError) as caught:
+            hcs_lrr(fm, hier_solver_config(), HierarchyConfig(max_level=6), seed=0)
+        assert str(caught.value).startswith("levels=6 is too deep for N=36 samples")
+
+    @pytest.mark.parametrize("levels", [1, 5])
+    def test_solver_embeds_in_two_to_the_depth_columns(self, monkeypatch, levels):
+        solve, widths = hierarchy.cslrr_solve, []
+
+        def recording_solve(x, config, clusters, *args, **kwargs):
+            widths.append(clusters)
+            return solve(x, config, clusters, *args, **kwargs)
+
+        monkeypatch.setattr(hierarchy, "cslrr_solve", recording_solve)
+        fm, _ = shared_direction_data(50, 4, 9, seed=0)  # N = 36 >= 2**5
+        scfg = hier_solver_config(max_iters=5)
+        hcs_lrr(fm, scfg, HierarchyConfig(max_level=levels), seed=0)
+        assert widths == [2**levels]
+
     def test_too_few_samples(self):
         fm = FeatureMatrix(np.eye(3))
         with pytest.raises(DimensionError):
-            hcs_lrr(fm, hier_solver_config(l_max=2), HierarchyConfig(max_level=2), 0)
+            hcs_lrr(fm, hier_solver_config(), HierarchyConfig(max_level=1), 0)
 
 
 class TestTreeSerialization:

@@ -176,9 +176,9 @@ STOP_NOT_ROTATION_INVARIANT = pytest.mark.xfail(
 def test_z_ignores_a_rotation_of_the_samples(alpha):
     x = uos_sample(3, 15, seed=2)
     u = random_orthonormal(20, 20, np.random.default_rng(5))
-    cfg = SolverConfig(l_max=3, alpha=alpha, beta=0.0, lam=10.0)
-    given = cslrr_solve(x, cfg)
-    rotated = cslrr_solve(FeatureMatrix(u @ x.data), cfg)
+    cfg = SolverConfig(alpha=alpha, beta=0.0, lam=10.0)
+    given = cslrr_solve(x, cfg, 3)
+    rotated = cslrr_solve(FeatureMatrix(u @ x.data), cfg, 3)
     assert given.converged and rotated.converged
     assert np.abs(rotated.z - given.z).max() < 1e-8
 
@@ -188,13 +188,11 @@ def test_every_iterate_ignores_a_rotation_of_the_samples(alpha):
     # The same relation with the stopping test out of play: 117 iterations each.
     x = uos_sample(3, 15, seed=2)
     u = random_orthonormal(20, 20, np.random.default_rng(5))
-    cfg = SolverConfig(
-        l_max=3, alpha=alpha, beta=0.0, lam=10.0, epsilon=1e-300, max_iters=117
-    )
+    cfg = SolverConfig(alpha=alpha, beta=0.0, lam=10.0, epsilon=1e-300, max_iters=117)
     given, rotated = [], []
-    cslrr_solve(x, cfg, callback=lambda st: given.append(st.z.copy()))
+    cslrr_solve(x, cfg, 3, callback=lambda st: given.append(st.z.copy()))
     cslrr_solve(
-        FeatureMatrix(u @ x.data), cfg, callback=lambda st: rotated.append(st.z.copy())
+        FeatureMatrix(u @ x.data), cfg, 3, callback=lambda st: rotated.append(st.z.copy())
     )
     assert len(given) == len(rotated) == 117
     assert max(np.abs(a - b).max() for a, b in zip(given, rotated)) < 1e-8

@@ -30,7 +30,7 @@ from uoslearn.synth import UosSynthConfig, generate_synthetic_uos
 
 
 def small_config(**kw):
-    base = dict(l_max=2, alpha=1.0, beta=0.5, lam=1.0, max_iters=50)
+    base = dict(alpha=1.0, beta=0.5, lam=1.0, max_iters=50)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -82,7 +82,7 @@ def reference_lrr_iterates(x, lam, n_iters, weights=None, alpha=0.0):
     return iterates
 
 
-def reference_solve(x, config, callback=None):
+def reference_solve(x, config, clusters, callback=None):
     """The solver loop before the beta = 0 skip: the F update runs every iteration."""
     weights = (
         build_weight_matrix(x)
@@ -94,7 +94,7 @@ def reference_solve(x, config, callback=None):
     for _ in range(config.max_iters):
         state.z = update_z(state, x, config)
         state.q = update_q(state, weights, config)
-        _, state.theta = update_f(state, config)
+        _, state.theta = update_f(state, clusters)
         state.e = update_e(state, x, config)
 
         r1_mat = x.data - x.data @ state.z - state.e
@@ -154,7 +154,7 @@ class TestBuildWeightMatrix:
 class TestUpdates:
     def test_z_zero_gradient_fixpoint(self):
         x = FeatureMatrix(np.eye(3))
-        cfg = small_config(l_max=3)
+        cfg = small_config()
         state = init_state(x, cfg)
         state.e = x.data.copy()  # makes X - XZ - E + G1/mu vanish at Z=0
         z = update_z(state, x, cfg)
@@ -163,7 +163,7 @@ class TestUpdates:
     def test_z_surrogate_decrease(self, rng):
         # the majorized objective at the new Z never exceeds its value at Z^t
         x = FeatureMatrix(unit_columns(rng.standard_normal((8, 12))))
-        cfg = small_config(l_max=3)
+        cfg = small_config()
         state = init_state(x, cfg)
         state.z = rng.standard_normal((12, 12)) * 0.1
         state.q = rng.standard_normal((12, 12)) * 0.1
@@ -184,7 +184,7 @@ class TestUpdates:
 
     def test_z_step_shrinks_with_larger_eta(self, rng):
         x = FeatureMatrix(unit_columns(rng.standard_normal((6, 9))))
-        cfg = small_config(l_max=3)
+        cfg = small_config()
         state = init_state(x, cfg)
         state.z = rng.standard_normal((9, 9)) * 0.2
         step1 = np.linalg.norm(update_z(state, x, cfg) - state.z)
@@ -194,7 +194,7 @@ class TestUpdates:
 
     def test_q_identity_when_thresholds_vanish(self, rng):
         x = FeatureMatrix(unit_columns(rng.standard_normal((5, 8))))
-        cfg = small_config(l_max=2, alpha=0.0, beta=0.0)
+        cfg = small_config(alpha=0.0, beta=0.0)
         state = init_state(x, cfg)
         state.z = rng.standard_normal((8, 8))
         state.g2 = rng.standard_normal((8, 8))
@@ -203,7 +203,7 @@ class TestUpdates:
 
     def test_q_small_entries_zeroed(self):
         x = FeatureMatrix(np.eye(4))
-        cfg = small_config(l_max=2, alpha=2.0, beta=1.0)
+        cfg = small_config(alpha=2.0, beta=1.0)
         state = init_state(x, cfg)
         state.z = np.full((4, 4), 0.01)
         state.theta = np.ones((4, 4))
@@ -215,13 +215,13 @@ class TestUpdates:
     def test_f_block_diagonal_indicator(self):
         # Q with two disconnected blocks: embedding rows coincide inside blocks
         x = FeatureMatrix(np.eye(4))
-        cfg = small_config(l_max=2, beta=1.0)
+        cfg = small_config(beta=1.0)
         state = init_state(x, cfg)
         q = np.zeros((4, 4))
         q[0, 1] = q[1, 0] = 0.9
         q[2, 3] = q[3, 2] = 0.7
         state.q = q
-        f, theta = update_f(state, cfg)
+        f, theta = update_f(state, 2)
         assert np.abs(f.T @ f - np.eye(2)).max() < 1e-10
         assert theta[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert theta[2, 3] == pytest.approx(0.0, abs=1e-12)
@@ -229,10 +229,10 @@ class TestUpdates:
 
     def test_f_trace_equals_smallest_eigenvalue_sum(self, rng):
         x = FeatureMatrix(unit_columns(rng.standard_normal((5, 7))))
-        cfg = small_config(l_max=3)
+        cfg = small_config()
         state = init_state(x, cfg)
         state.q = rng.standard_normal((7, 7))
-        f, _ = update_f(state, cfg)
+        f, _ = update_f(state, 3)
         absq = np.abs(state.q)
         m = np.diag((absq.sum(0) + absq.sum(1)) / 2) - (absq + absq.T) / 2
         expected = np.sort(np.linalg.eigvalsh(m))[:3].sum()
@@ -240,14 +240,14 @@ class TestUpdates:
 
     def test_e_zero_input(self):
         x = FeatureMatrix(np.eye(3))
-        cfg = small_config(l_max=2)
+        cfg = small_config()
         state = init_state(x, cfg)
         state.z = np.eye(3)  # C = X - XZ + 0 = 0
         assert np.array_equal(update_e(state, x, cfg), np.zeros((3, 3)))
 
     def test_e_full_shrinkage(self, rng):
         x = FeatureMatrix(unit_columns(rng.standard_normal((4, 5))))
-        cfg = small_config(l_max=2, lam=100.0)
+        cfg = small_config(lam=100.0)
         state = init_state(x, cfg)
         # C = X at Z=0, columns have unit norm; lam/mu = 1000 >= all norms
         assert np.array_equal(update_e(state, x, cfg), np.zeros((4, 5)))
@@ -255,7 +255,7 @@ class TestUpdates:
     def test_e_blockwise_matches_per_row_shrink(self, rng):
         data = unit_columns(rng.standard_normal((6, 4)))
         x = FeatureMatrix(data, block_shape=(3, 2))
-        cfg = small_config(l_max=2, lam=0.05)
+        cfg = small_config(lam=0.05)
         state = init_state(x, cfg)
         out = update_e(state, x, cfg)
         tau = cfg.lam / state.mu
@@ -272,8 +272,8 @@ class TestUpdates:
 class TestSolve:
     def test_identity_limit(self):
         x = FeatureMatrix(np.eye(2))
-        cfg = SolverConfig(l_max=2, alpha=0.0, beta=0.0, lam=100.0, max_iters=500)
-        res = cslrr_solve(x, cfg)
+        cfg = SolverConfig(alpha=0.0, beta=0.0, lam=100.0, max_iters=500)
+        res = cslrr_solve(x, cfg, 2)
         assert res.converged
         assert np.abs(res.z - np.eye(2)).max() < 1e-4
 
@@ -282,8 +282,8 @@ class TestSolve:
             m=50, subspaces=5, dim=4, points_per_subspace=40, noise=0.0, seed=7
         )
         fm, truth = generate_synthetic_uos(cfg)
-        scfg = SolverConfig(l_max=5, alpha=1.0, beta=0.5, lam=10.0, max_iters=500)
-        res = cslrr_solve(fm, scfg)
+        scfg = SolverConfig(alpha=1.0, beta=0.5, lam=10.0, max_iters=500)
+        res = cslrr_solve(fm, scfg, 5)
         assert res.converged
         w = build_affinity(threshold_coefficients(res.z, 0.05))
         labels = spectral_cluster(w, 5, seed=0)
@@ -295,11 +295,11 @@ class TestSolve:
         fm = FeatureMatrix(x)
         n_iters = 30
         cfg = SolverConfig(
-            l_max=3, alpha=0.0, beta=0.0, lam=0.7, max_iters=n_iters, epsilon=1e-16
+            alpha=0.0, beta=0.0, lam=0.7, max_iters=n_iters, epsilon=1e-16
         )
         seen = []
         cslrr_solve(
-            fm, cfg, callback=lambda st: seen.append((st.z.copy(), st.q.copy(), st.e.copy()))
+            fm, cfg, 3, callback=lambda st: seen.append((st.z.copy(), st.q.copy(), st.e.copy()))
         )
         reference = reference_lrr_iterates(x, 0.7, n_iters)
         assert len(seen) == len(reference)
@@ -314,11 +314,11 @@ class TestSolve:
         fm = FeatureMatrix(x)
         n_iters = 30
         cfg = SolverConfig(
-            l_max=3, alpha=0.9, beta=0.0, lam=0.7, max_iters=n_iters, epsilon=1e-16
+            alpha=0.9, beta=0.0, lam=0.7, max_iters=n_iters, epsilon=1e-16
         )
         seen = []
         cslrr_solve(
-            fm, cfg, callback=lambda st: seen.append((st.z.copy(), st.q.copy(), st.e.copy()))
+            fm, cfg, 3, callback=lambda st: seen.append((st.z.copy(), st.q.copy(), st.e.copy()))
         )
         weights = build_weight_matrix(fm)
         reference = reference_lrr_iterates(x, 0.7, n_iters, weights=weights, alpha=0.9)
@@ -329,16 +329,16 @@ class TestSolve:
 
     def test_converged_run_satisfies_residual_checks(self, rng):
         x = FeatureMatrix(unit_columns(rng.standard_normal((6, 10))))
-        cfg = small_config(l_max=3, lam=5.0, max_iters=500)
-        res = cslrr_solve(x, cfg)
+        cfg = small_config(lam=5.0, max_iters=500)
+        res = cslrr_solve(x, cfg, 3)
         assert res.converged
         r1, r2 = res.residual_history[-1]
         assert r1 <= cfg.epsilon and r2 <= cfg.epsilon
 
     def test_nonconvergence_flagged_not_raised(self, rng):
         x = FeatureMatrix(unit_columns(rng.standard_normal((6, 10))))
-        cfg = small_config(l_max=3, max_iters=2)
-        res = cslrr_solve(x, cfg)
+        cfg = small_config(max_iters=2)
+        res = cslrr_solve(x, cfg, 3)
         assert not res.converged
         assert res.iterations == 2
 
@@ -349,32 +349,48 @@ class TestSolve:
         r = np.random.default_rng(5)
         x = unit_columns(r.standard_normal((10, 12)))
         perm = r.permutation(12)
-        cfg = small_config(l_max=3, beta=0.0, lam=2.0, max_iters=120)
-        z1 = cslrr_solve(FeatureMatrix(x), cfg).z
-        z2 = cslrr_solve(FeatureMatrix(x[:, perm]), cfg).z
+        cfg = small_config(beta=0.0, lam=2.0, max_iters=120)
+        z1 = cslrr_solve(FeatureMatrix(x), cfg, 3).z
+        z2 = cslrr_solve(FeatureMatrix(x[:, perm]), cfg, 3).z
         assert np.abs(z2 - z1[np.ix_(perm, perm)]).max() < 1e-8
 
     def test_mu_nondecreasing_and_capped(self, rng):
         x = FeatureMatrix(unit_columns(rng.standard_normal((5, 8))))
-        cfg = small_config(l_max=2, mu_max=0.3, max_iters=30, epsilon=1e-16)
+        cfg = small_config(mu_max=0.3, max_iters=30, epsilon=1e-16)
         mus = []
-        cslrr_solve(x, cfg, callback=lambda st: mus.append(st.mu))
+        cslrr_solve(x, cfg, 2, callback=lambda st: mus.append(st.mu))
         assert all(b >= a for a, b in zip(mus, mus[1:]))
         assert max(mus) <= 0.3
 
     def test_blockwise_solve_converges(self, rng):
         data = unit_columns(rng.standard_normal((12, 10)))
         x = FeatureMatrix(data, block_shape=(4, 3))
-        cfg = small_config(l_max=3, lam=5.0, max_iters=500)
-        res = cslrr_solve(x, cfg)
+        cfg = small_config(lam=5.0, max_iters=500)
+        res = cslrr_solve(x, cfg, 3)
         assert res.converged
         r1, r2 = res.residual_history[-1]
         assert max(r1, r2) <= cfg.epsilon
 
-    def test_l_max_exceeding_samples(self, rng):
-        x = FeatureMatrix(unit_columns(rng.standard_normal((5, 4))))
-        with pytest.raises(DimensionError):
-            cslrr_solve(x, small_config(l_max=5))
+    @pytest.mark.parametrize(
+        "clusters, error, message",
+        [
+            (0, ConfigError, "clusters must be >= 1, got 0"),
+            (11, DimensionError, "clusters=11 exceeds the number of samples N=10"),
+        ],
+    )
+    def test_out_of_range_clusters_rejected_before_any_step(
+        self, rng, monkeypatch, clusters, error, message
+    ):
+        # The CLI's wording: `cluster` passes its count through unchecked.
+        def no_step(*args, **kwargs):
+            raise AssertionError("a solver step ran")
+
+        monkeypatch.setattr(solver, "build_weight_matrix", no_step)
+        monkeypatch.setattr(solver, "update_z", no_step)
+        x = FeatureMatrix(unit_columns(rng.standard_normal((5, 10))))
+        with pytest.raises(error) as caught:
+            cslrr_solve(x, small_config(), clusters)
+        assert str(caught.value) == message
 
 
 def _snapshot(trail):
@@ -400,13 +416,13 @@ class TestEmbeddingStepSkippedAtBetaZero:
             UosSynthConfig(m=20, subspaces=3, dim=2, points_per_subspace=12, seed=3)
         )
         cfg = SolverConfig(
-            l_max=3, alpha=alpha, beta=beta, lam=1.0, max_iters=60, epsilon=1e-16
+            alpha=alpha, beta=beta, lam=1.0, max_iters=60, epsilon=1e-16
         )
         seen, expected = [], []
         threads = threading.active_count()
-        res = cslrr_solve(fm, cfg, callback=_snapshot(seen))
+        res = cslrr_solve(fm, cfg, 3, callback=_snapshot(seen))
         assert threading.active_count() == threads
-        ref = reference_solve(fm, cfg, callback=_snapshot(expected))
+        ref = reference_solve(fm, cfg, 3, callback=_snapshot(expected))
         assert res.iterations == ref.iterations == len(seen) == len(expected) == 60
         for got, want in zip(seen, expected):
             for a, b in zip(got, want):
@@ -422,9 +438,9 @@ class TestEmbeddingStepSkippedAtBetaZero:
         calls, alongside = [], []
         update = solver.update_f
 
-        def counted(state, config):
+        def counted(state, clusters):
             calls.append(state.t)
-            return update(state, config)
+            return update(state, clusters)
 
         def recording_svt(a, tau, f=None):
             alongside.append(f is not None)
@@ -434,7 +450,7 @@ class TestEmbeddingStepSkippedAtBetaZero:
         monkeypatch.setattr(solver, "svt", recording_svt)
         monkeypatch.setattr(linalg, "one_blas_thread", lambda: overlap)
         x = FeatureMatrix(unit_columns(rng.standard_normal((6, 10))))
-        res = cslrr_solve(x, small_config(l_max=3, beta=beta, max_iters=20))
+        res = cslrr_solve(x, small_config(beta=beta, max_iters=20), 3)
         # Iteration t's F update runs during iteration t+1's SVT; nothing reads
         # the last iteration's Theta, so its F update is skipped.
         assert len(calls) == (res.iterations - 1 if beta > 0 else 0)
@@ -444,7 +460,7 @@ class TestEmbeddingStepSkippedAtBetaZero:
 def random_state(rng, n, m=6):
     """Nonzero random iterates at iteration 3 with their features, config and weights."""
     x = FeatureMatrix(unit_columns(rng.standard_normal((m, n))))
-    cfg = small_config(l_max=3)
+    cfg = small_config()
     state = init_state(x, cfg)
     state.z, state.q, state.g2 = (rng.standard_normal((n, n)) for _ in range(3))
     state.theta = np.abs(rng.standard_normal((n, n)))
@@ -467,7 +483,7 @@ STEP_CALLS = {
     ),
     "update_z": lambda s, x, cfg, w: (update_z, (s, x, cfg)),
     "update_q": lambda s, x, cfg, w: (update_q, (s, w, cfg)),
-    "update_f": lambda s, x, cfg, w: (update_f, (s, cfg)),
+    "update_f": lambda s, x, cfg, w: (update_f, (s, 3)),
     "update_e": lambda s, x, cfg, w: (update_e, (s, x, cfg)),
 }
 
@@ -587,10 +603,10 @@ class TestFeatureMatrixValidation:
     def test_theta_nonneg_zero_diagonal_symmetric(self, rng):
         basis = random_orthonormal(6, 2, rng)
         x = FeatureMatrix(np.eye(6))
-        cfg = small_config(l_max=2)
+        cfg = small_config()
         state = init_state(x, cfg)
         state.q = rng.standard_normal((6, 6))
-        _, theta = update_f(state, cfg)
+        _, theta = update_f(state, 2)
         assert np.all(theta >= 0)
         assert np.all(np.diag(theta) == 0)
         assert np.allclose(theta, theta.T)
@@ -609,7 +625,7 @@ class TestSolverConfig:
             small_config(**{name: value})
 
     def test_weights_have_the_documented_defaults(self):
-        cfg = SolverConfig(l_max=3)
+        cfg = SolverConfig()
         assert (cfg.alpha, cfg.beta, cfg.lam) == (1.0, 0.5, 1.0)
 
 
@@ -630,8 +646,8 @@ class TestGramSvtAgainstSvd:
             return calls[-1][2]
 
         monkeypatch.setattr(solver, "svt", recording_svt)
-        config = SolverConfig(l_max=4, alpha=1.0, beta=beta, lam=10.0)
-        result = cslrr_solve(x, config)
+        config = SolverConfig(alpha=1.0, beta=beta, lam=10.0)
+        result = cslrr_solve(x, config, 4)
         assert result.converged
         assert len(calls) == result.iterations
         for a, tau, out in calls:
