@@ -20,6 +20,7 @@ from .errors import ConfigError, DataError
 from .sequences import (
     LeafSet,
     SequenceSample,
+    assigned,
     check_class_sizes,
     class_distance_ceilings,
     class_distances,
@@ -96,15 +97,12 @@ def bundle_kind(model) -> int:
 
 
 def predict(model, sample: SequenceSample, leaves: LeafSet):
-    """Class id of `sample`, or None when an open-set model rejects it.
-
-    The SVMs read `sample.assignment`, so it must be assigned to `leaves`.
-    """
+    """Class id of `sample`, or None when an open-set model rejects it."""
     if isinstance(model, KnnModel):
         return model.predict(sample, leaves)
     if model.open_set:
-        return open_set_svm(model, sample.assignment, leaves)
-    return svm_predict_multiclass(model, sample.assignment, leaves)
+        return open_set_svm(model, assigned(sample, leaves), leaves)
+    return svm_predict_multiclass(model, assigned(sample, leaves), leaves)
 
 
 def save_model_bundle(path, leaves: LeafSet, model) -> None:
@@ -120,11 +118,11 @@ def save_model_bundle(path, leaves: LeafSet, model) -> None:
             writer.fields("id", cid, ceilings[cid])
         writer.fields("I", len(model.train))
         for s in model.train:
-            if s.label is None or s.assignment is None:
-                raise ConfigError("training sequences need labels and assignments")
+            if s.label is None:
+                raise ConfigError("training sequences need labels")
             writer.fields("i", s.label)
             writer.matrix(s.features)
-            writer.indices(s.assignment)
+            writer.indices(assigned(s, leaves))
     else:
         writer.fields("ddI", model.nu, model.c, len(model.train_assignments))
         for label, psi in zip(model.labels, model.train_assignments):

@@ -20,13 +20,13 @@ from .codec import make_dir, write_file
 from .errors import ConfigError, DataError, NumericalError, UosError
 from .hierarchy import HierarchyConfig, hcs_lrr, read_tree, tree_summary, write_tree
 from .metrics import clustering_accuracy
-from .sequences import LeafSet, assign_to_leaves
+from .sequences import LeafSet
 from .solver import SolverConfig, build_affinity, cslrr_solve, threshold_coefficients
 from .spectral import spectral_cluster
-from .svm import DEFAULT_C, MODE_ONE_VS_ALL, MODE_ONE_VS_ONE, check_open_set_mode
-from .svm import check_svm_params, svm_train_multiclass
+from .svm import DEFAULT_C, MODE_ONE_VS_ALL, MODE_ONE_VS_ONE, svm_train_multiclass
 
-# Unused here: bench/tracer.py wraps these two names in this module.
+# Unused here: bench/tracer.py wraps these three names in this module.
+from .sequences import assign_to_leaves
 from .svm import open_set_svm, svm_predict_multiclass
 from .synth import (
     SequenceSynthConfig,
@@ -401,34 +401,22 @@ def cmd_classify(args) -> int:
                 f"unknown classifier {classifier!r}; expected one of {CLASSIFIERS}"
             )
         open_set = args.open or cfg_bool(cfg, "open")
-        # Every config value is checked before any sequence is assigned to the leaves.
         if classifier == "knn":
             model = KnnModel(
                 **config_values(KnnModel, cfg, train=train, open_set=open_set, ceilings=None)
             )
         else:
-            mode = MODE_ONE_VS_ONE if classifier == "svm-ovo" else MODE_ONE_VS_ALL
-            check_open_set_mode(mode, open_set)
-            nu = cfg_float(cfg, "nu") if "nu" in cfg else None
-            c = cfg_float(cfg, "c", DEFAULT_C)
-            check_svm_params(nu, c)
-        for s in train:
-            s.assignment = assign_to_leaves(s, leaves)
-        if classifier != "knn":
             model = svm_train_multiclass(
-                [s.assignment for s in train],
-                [s.label for s in train],
+                train,
                 leaves,
-                mode=mode,
-                nu=nu,
-                c=c,
+                mode=MODE_ONE_VS_ONE if classifier == "svm-ovo" else MODE_ONE_VS_ALL,
+                nu=cfg_float(cfg, "nu") if "nu" in cfg else None,
+                c=cfg_float(cfg, "c", DEFAULT_C),
                 open_set=open_set,
             )
             stalled = [str(key) for key, (m, _) in model.models.items() if not m.converged]
             if stalled:
                 diag(f"SMO pass budget exhausted: binary models {', '.join(stalled)}")
-    for s in test:
-        s.assignment = assign_to_leaves(s, leaves)
     # Before the save: an open-set k-NN model fits its ceilings on its first prediction.
     predictions = [predict(model, s, leaves) for s in test]
     known = set(model.classes)

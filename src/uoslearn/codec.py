@@ -19,6 +19,7 @@ import io
 import os
 import stat
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +34,30 @@ def write_file(path, *parts) -> None:
     The parts go to a new sibling file, which then replaces the target: a
     write that fails or is interrupted removes the sibling and leaves the
     target as it was. A symlink keeps pointing at the replaced file, and a
-    file that existed keeps its permission bits. A target that exists and
-    is not a regular file (a FIFO, /dev/stderr) is written in place, since
-    replacing it would replace the node.
+    file that existed keeps its permission bits. This process's stdout or
+    stderr (`--out /dev/stdout > file` too) is written in place through its
+    descriptor, after the Python stream's buffer, and so is any other
+    target that exists and is not a regular file (a FIFO), since replacing
+    it would replace the node.
     """
     try:
         try:
-            mode = os.stat(path).st_mode
+            st = os.stat(path)
         except FileNotFoundError:
-            mode = None
+            st = None
+        for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+            if st is not None and _is_descriptor(st, fd):
+                if stream is not None:
+                    stream.flush()
+                with open(fd, "wb", closefd=False) as fh:
+                    fh.writelines(parts)
+                return
+        mode = None if st is None else st.st_mode
         if mode is not None and not stat.S_ISREG(mode):
             with open(path, "wb") as fh:
                 fh.writelines(parts)
             return
-        # After the check: /dev/stdout on a pipe resolves to no file.
+        # After the checks: a descriptor's pipe (/proc/self/fd/N) resolves to no file.
         target = os.path.realpath(path)
         head, name = os.path.split(target)
         sibling = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
@@ -65,6 +76,13 @@ def write_file(path, *parts) -> None:
             raise
     except OSError as exc:
         raise DataError(f"{path}: cannot write: {exc}") from exc
+
+
+def _is_descriptor(st: os.stat_result, fd: int) -> bool:
+    try:
+        return os.path.samestat(st, os.fstat(fd))
+    except OSError:  # fd closed
+        return False
 
 
 def make_dir(path) -> None:

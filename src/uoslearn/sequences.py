@@ -255,13 +255,17 @@ def sequence_distance(
     return float(leaves.distances[psi_a[path[:, 0]], psi_b[path[:, 1]]].mean())
 
 
-def _ensure_assignment(sample: SequenceSample, leaves: LeafSet) -> None:
+def assigned(sample: SequenceSample, leaves: LeafSet) -> np.ndarray:
+    """`sample.assignment`, assigned to `leaves` on first use; a sample keeps it."""
     if sample.assignment is None:
         sample.assignment = assign_to_leaves(sample, leaves)
+    return sample.assignment
 
 
 def _feature_aligned_distance(leaves: LeafSet):
-    return lambda a, b: sequence_distance(a, b, a.assignment, b.assignment, leaves)
+    return lambda a, b: sequence_distance(
+        a, b, assigned(a, leaves), assigned(b, leaves), leaves
+    )
 
 
 def check_class_sizes(train: list[SequenceSample], k: int, leave_one_out: bool) -> None:
@@ -287,8 +291,6 @@ def class_distances(
 ) -> dict[int, float]:
     """Average distance from `test` to the k nearest members of each class."""
     check_class_sizes(train, k, leave_one_out=False)
-    for s in [test, *train]:
-        _ensure_assignment(s, leaves)
     row = _pair_matrix(_feature_aligned_distance(leaves), [test], train)[0]
     by_class: dict[int, list[float]] = {}
     for s, d in zip(train, row):
@@ -312,8 +314,6 @@ def class_distance_ceilings(
         by_class.setdefault(s.label, []).append(s)
     ceilings = {}
     for cid, members in sorted(by_class.items()):
-        for s in members:
-            _ensure_assignment(s, leaves)
         dist = _pair_matrix(distance, members)
         ceilings[cid] = max(
             _mean_k_smallest(np.delete(row, i), k) for i, row in enumerate(dist)

@@ -184,10 +184,7 @@ def init_state(x: FeatureMatrix, config: SolverConfig) -> SolverState:
 
 
 def update_z(
-    state: SolverState,
-    x: FeatureMatrix,
-    config: SolverConfig,
-    alongside: Callable[[], None] | None = None,
+    state: SolverState, x: FeatureMatrix, alongside: Callable[[], None] | None = None
 ) -> np.ndarray:
     """Linearized nuclear-norm step: SVT of Z - grad/(eta*mu) at level 1/(eta*mu).
 
@@ -306,7 +303,7 @@ def cslrr_solve(
     for _ in range(config.max_iters):
         # The previous iteration's F update, run beside this Z update's SVT.
         alongside = f_step if config.beta > 0 and state.t > 0 else None
-        state.z = update_z(state, x, config, alongside=alongside)
+        state.z = update_z(state, x, alongside=alongside)
         state.q = update_q(state, weights, config)
         state.e = update_e(state, x, config)
 

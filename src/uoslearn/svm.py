@@ -16,6 +16,8 @@ from .errors import ConfigError, DimensionError
 from .linalg import as_matrix
 from .sequences import (
     LeafSet,
+    SequenceSample,
+    assigned,
     check_bandwidth,
     dtw_distance_matrix,
     gaussian_kernel,
@@ -264,8 +266,7 @@ class MulticlassSvmModel:
 
 
 def svm_train_multiclass(
-    train_assignments: list[np.ndarray],
-    labels,
+    train: list[SequenceSample],
     leaves: LeafSet,
     mode: str = MODE_ONE_VS_ONE,
     nu: float | None = None,
@@ -275,21 +276,22 @@ def svm_train_multiclass(
 ) -> MulticlassSvmModel:
     """Train the pairwise or per-class binary models over the Gaussian warping kernel.
 
+    `train` holds labelled sequences, assigned to `leaves` on first use.
     nu defaults to the median off-diagonal warping distance of the
     training set; `open_set` is kept on the model (one-vs-all only).
     """
     if mode not in (MODE_ONE_VS_ONE, MODE_ONE_VS_ALL):
         raise ConfigError(f"unknown mode {mode!r}")
-    # Before the kernel, whose warps dominate training.
+    # Before any assignment and the kernel, whose warps dominate training.
     check_open_set_mode(mode, open_set)
     check_svm_params(nu, c, tol)
-    labels = np.asarray(labels, dtype=int)
-    if len(labels) != len(train_assignments):
-        raise DimensionError("labels must match the number of sequences")
+    if any(s.label is None for s in train):
+        raise ConfigError("training sequences need labels")
+    labels = np.array([s.label for s in train], dtype=int)
     classes = sorted(set(labels.tolist()))
     if len(classes) < 2:
         raise ConfigError("need at least two classes")
-    assignments = [np.asarray(a, dtype=int) for a in train_assignments]
+    assignments = [assigned(s, leaves) for s in train]
     distances = dtw_distance_matrix(assignments, None, leaves)
     if nu is None:
         nu = median_bandwidth(distances)

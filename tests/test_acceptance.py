@@ -294,12 +294,7 @@ def test_criterion_8_classification_desk_scale():
     )
     assert knn_acc >= 0.90
 
-    model = svm_train_multiclass(
-        [s.assignment for s in train],
-        [s.label for s in train],
-        leaves,
-        mode=MODE_ONE_VS_ONE,
-    )
+    model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ONE)
     svm_acc = np.mean(
         [svm_predict_multiclass(model, s.assignment, leaves) == s.label for s in test]
     )

@@ -52,10 +52,9 @@ def test_dtw_spans_are_counted_per_pair(tracer):
     )
     samples, leaves = generate_synthetic_sequences(cfg)
     train, probe = samples[1:], samples[0]
-    psis = [assign_to_leaves(s, leaves) for s in train]
     run = tracer.Tracer()
     with run.installed():
-        svm_train_multiclass(psis, [s.label for s in train], leaves)
+        svm_train_multiclass(train, leaves)
         KnnModel(train, k=2, open_set=True).predict(probe, leaves)
     spans = Counter(s.name for s in run.spans)
     sizes = Counter(s.label for s in train).values()
@@ -76,8 +75,7 @@ def test_svm_prediction_warps_only_support_rows(tracer):
     )
     samples, leaves = generate_synthetic_sequences(cfg)
     train, probe = samples[1:], samples[0]
-    psis = [assign_to_leaves(s, leaves) for s in train]
-    model = svm_train_multiclass(psis, [s.label for s in train], leaves)
+    model = svm_train_multiclass(train, leaves)
     support = set()
     for binary, idx in model.models.values():
         support.update(idx[binary.alpha != 0].tolist())

@@ -15,7 +15,7 @@ from uoslearn.bundles import (
     save_model_bundle,
 )
 from uoslearn.errors import DataError
-from uoslearn.sequences import assign_to_leaves
+from uoslearn.sequences import SequenceSample, assign_to_leaves
 from uoslearn.svm import MODE_ONE_VS_ALL, MODE_ONE_VS_ONE, svm_train_multiclass
 from uoslearn.synth import SequenceSynthConfig, generate_synthetic_sequences, split_by_class
 
@@ -68,12 +68,7 @@ class TestKnnBundle:
 class TestSvmBundle:
     def test_ovo_round_trip(self, tmp_path):
         train, test, leaves = setup_data(seed=5)
-        model = svm_train_multiclass(
-            [s.assignment for s in train],
-            [s.label for s in train],
-            leaves,
-            mode=MODE_ONE_VS_ONE,
-        )
+        model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ONE)
         path = tmp_path / "svm.uosm"
         save_model_bundle(path, leaves, model)
         loaded_leaves, loaded = load_model_bundle(path)
@@ -92,13 +87,7 @@ class TestSvmBundle:
 
     def test_open_ova_round_trip(self, tmp_path):
         train, test, leaves = setup_data(seed=7)
-        model = svm_train_multiclass(
-            [s.assignment for s in train],
-            [s.label for s in train],
-            leaves,
-            mode=MODE_ONE_VS_ALL,
-            open_set=True,
-        )
+        model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ALL, open_set=True)
         path = tmp_path / "svm-open.uosm"
         save_model_bundle(path, leaves, model)
         _, loaded = load_model_bundle(path)
@@ -106,6 +95,23 @@ class TestSvmBundle:
         assert kind == KIND_SVM_OPEN
         preds = [predict(loaded, s, leaves) for s in test[:5]]
         assert all(p is None or isinstance(p, int) for p in preds)
+
+    @pytest.mark.parametrize(
+        "mode, open_set",
+        [(MODE_ONE_VS_ONE, False), (MODE_ONE_VS_ALL, False), (MODE_ONE_VS_ALL, True)],
+        ids=["svm-ovo", "svm-ova", "svm-ova-open"],
+    )
+    def test_predict_assigns_a_fresh_sample(self, tmp_path, mode, open_set):
+        train, test, leaves = setup_data(seed=5)
+        model = svm_train_multiclass(train, leaves, mode=mode, open_set=open_set)
+        path = tmp_path / "svm.uosm"
+        save_model_bundle(path, leaves, model)
+        loaded_leaves, loaded = load_model_bundle(path)
+        for m, lv in ((model, leaves), (loaded, loaded_leaves)):
+            for s in test:
+                fresh = SequenceSample(features=s.features, label=s.label)
+                assert predict(m, fresh, lv) == predict(m, s, lv)
+                assert np.array_equal(fresh.assignment, s.assignment)
 
     @pytest.mark.parametrize(
         "mode, tamper, match",
@@ -119,9 +125,7 @@ class TestSvmBundle:
     )
     def test_models_must_fit_the_stored_classes(self, tmp_path, mode, tamper, match):
         train, _, leaves = setup_data(seed=5)
-        model = svm_train_multiclass(
-            [s.assignment for s in train], [s.label for s in train], leaves, mode=mode
-        )
+        model = svm_train_multiclass(train, leaves, mode=mode)
         tamper(model)
         path = tmp_path / "svm.uosm"
         save_model_bundle(path, leaves, model)
@@ -191,12 +195,7 @@ class TestBundleScalarChecks:
     )
     def test_svm_scalars(self, tmp_path, tamper, match):
         train, _, leaves = setup_data(seed=7)
-        model = svm_train_multiclass(
-            [s.assignment for s in train],
-            [s.label for s in train],
-            leaves,
-            mode=MODE_ONE_VS_ALL,
-        )
+        model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ALL)
         tamper(model)
         path = tmp_path / "svm.uosm"
         save_model_bundle(path, leaves, model)

@@ -2,6 +2,8 @@ import errno
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -34,14 +36,14 @@ def run_cli(capsys, *argv):
 
 
 def count_assignments(monkeypatch) -> list:
-    """Count the CLI's `assign_to_leaves` calls in the returned list."""
-    assign, assigned = cli.assign_to_leaves, []
+    """Count the `assign_to_leaves` calls behind every assignment in the returned list."""
+    assign, assigned = sequences.assign_to_leaves, []
 
     def counted_assign(sample, leaves):
         assigned.append(len(assigned))
         return assign(sample, leaves)
 
-    monkeypatch.setattr(cli, "assign_to_leaves", counted_assign)
+    monkeypatch.setattr(sequences, "assign_to_leaves", counted_assign)
     return assigned
 
 
@@ -763,6 +765,37 @@ class TestConfigKeys:
         assert code == 2
         assert records == []
         assert f"config key {key} must be a number, got 'abc'" in err
+
+
+class TestOutputToStdout:
+    """`--out /dev/stdout > file`: the output and the JSON record both reach the
+    file, in the order a pipe receives them."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["cluster", "--clusters", "3"], "--out"),
+            (["hierarchy", "--set", "levels=2"], "--summary"),
+        ],
+        ids=["cluster-out", "hierarchy-summary"],
+    )
+    def test_redirected_to_a_file_as_through_a_pipe(self, tmp_path, uos_dataset, argv, flag):
+        command = [
+            sys.executable, "-c", "from uoslearn.cli import main; main()", *argv,
+            "--set", "method=sclrr", "--set", "lambda=10",
+            "--set", f"data={uos_dataset / 'features.bin'}", flag, "/dev/stdout",
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        piped = subprocess.run(command, env=env, capture_output=True, timeout=300)
+        assert piped.returncode == 0, piped.stderr
+        redirected = tmp_path / "redirected.txt"
+        with open(redirected, "wb") as out:
+            done = subprocess.run(command, env=env, stdout=out, stderr=subprocess.PIPE, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert redirected.read_bytes() == piped.stdout
+        written, record = piped.stdout.decode().rstrip("\n").rsplit("\n", 1)
+        assert written and json.loads(record)["record"] == argv[0]
 
 
 def readme_config_rows() -> dict[str, dict[str, str | None]]:

@@ -92,7 +92,7 @@ def reference_solve(x, config, clusters, callback=None):
     state = init_state(x, config)
     converged = False
     for _ in range(config.max_iters):
-        state.z = update_z(state, x, config)
+        state.z = update_z(state, x)
         state.q = update_q(state, weights, config)
         _, state.theta = update_f(state, clusters)
         state.e = update_e(state, x, config)
@@ -157,7 +157,7 @@ class TestUpdates:
         cfg = small_config()
         state = init_state(x, cfg)
         state.e = x.data.copy()  # makes X - XZ - E + G1/mu vanish at Z=0
-        z = update_z(state, x, cfg)
+        z = update_z(state, x)
         assert np.array_equal(z, np.zeros((3, 3)))
 
     def test_z_surrogate_decrease(self, rng):
@@ -179,7 +179,7 @@ class TestUpdates:
             quad = state.eta * state.mu / 2 * np.sum((znew - state.z) ** 2)
             return nuc + lin + quad
 
-        z_new = update_z(state, x, cfg)
+        z_new = update_z(state, x)
         assert surrogate(z_new) <= surrogate(state.z) + 1e-10
 
     def test_z_step_shrinks_with_larger_eta(self, rng):
@@ -187,9 +187,9 @@ class TestUpdates:
         cfg = small_config()
         state = init_state(x, cfg)
         state.z = rng.standard_normal((9, 9)) * 0.2
-        step1 = np.linalg.norm(update_z(state, x, cfg) - state.z)
+        step1 = np.linalg.norm(update_z(state, x) - state.z)
         state.eta *= 10
-        step2 = np.linalg.norm(update_z(state, x, cfg) - state.z)
+        step2 = np.linalg.norm(update_z(state, x) - state.z)
         assert step2 <= step1 + 1e-12
 
     def test_q_identity_when_thresholds_vanish(self, rng):
@@ -481,7 +481,7 @@ STEP_CALLS = {
     "sym_eig_smallest-F": lambda s, x, cfg, w: (
         linalg.sym_eig_smallest, (np.asfortranarray(s.z + s.z.T), 3)
     ),
-    "update_z": lambda s, x, cfg, w: (update_z, (s, x, cfg)),
+    "update_z": lambda s, x, cfg, w: (update_z, (s, x)),
     "update_q": lambda s, x, cfg, w: (update_q, (s, w, cfg)),
     "update_f": lambda s, x, cfg, w: (update_f, (s, 3)),
     "update_e": lambda s, x, cfg, w: (update_e, (s, x, cfg)),

@@ -4,16 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_orthonormal
 from uoslearn.bundles import load_model_bundle, save_model_bundle
 from uoslearn import sequences, svm
 from uoslearn.errors import ConfigError
-from uoslearn.sequences import (
-    LeafSet,
-    assign_to_leaves,
-    dtw_distance_matrix,
-    gaussian_kernel,
-)
+from uoslearn.sequences import assign_to_leaves, dtw_distance_matrix, gaussian_kernel
 from uoslearn.svm import (
     MODE_ONE_VS_ALL,
     MODE_ONE_VS_ONE,
@@ -154,7 +148,7 @@ class TestBinarySvm:
         assert m1.bias == m2.bias
 
 
-def sequence_classification_setup(seed=0, classes=3, per_class=8, jitter=0.02):
+def sequence_classification_setup(seed=0, classes=3, per_class=8, jitter=0.02, assign=True):
     cfg = SequenceSynthConfig(
         m=24,
         leaves=4,
@@ -168,8 +162,9 @@ def sequence_classification_setup(seed=0, classes=3, per_class=8, jitter=0.02):
         seed=seed,
     )
     samples, leaves = generate_synthetic_sequences(cfg)
-    for s in samples:
-        s.assignment = assign_to_leaves(s, leaves)
+    if assign:
+        for s in samples:
+            s.assignment = assign_to_leaves(s, leaves)
     train, test = split_by_class(samples, per_class - 2)
     return train, test, leaves
 
@@ -178,9 +173,7 @@ class TestMulticlassSvm:
     @pytest.mark.parametrize("mode", [MODE_ONE_VS_ONE, MODE_ONE_VS_ALL])
     def test_predicts_training_labels(self, mode):
         train, _, leaves = sequence_classification_setup()
-        model = svm_train_multiclass(
-            [s.assignment for s in train], [s.label for s in train], leaves, mode=mode
-        )
+        model = svm_train_multiclass(train, leaves, mode=mode)
         preds = [svm_predict_multiclass(model, s.assignment, leaves) for s in train]
         acc = np.mean([p == s.label for p, s in zip(preds, train)])
         assert acc >= 0.9
@@ -188,19 +181,15 @@ class TestMulticlassSvm:
     @pytest.mark.parametrize("mode", [MODE_ONE_VS_ONE, MODE_ONE_VS_ALL])
     def test_generalizes(self, mode):
         train, test, leaves = sequence_classification_setup(seed=9)
-        model = svm_train_multiclass(
-            [s.assignment for s in train], [s.label for s in train], leaves, mode=mode
-        )
+        model = svm_train_multiclass(train, leaves, mode=mode)
         preds = [svm_predict_multiclass(model, s.assignment, leaves) for s in test]
         acc = np.mean([p == s.label for p, s in zip(preds, test)])
         assert acc >= 0.8
 
     def test_two_class_modes_agree(self):
         train, test, leaves = sequence_classification_setup(seed=3, classes=2)
-        assigns = [s.assignment for s in train]
-        labels = [s.label for s in train]
-        ovo = svm_train_multiclass(assigns, labels, leaves, mode=MODE_ONE_VS_ONE)
-        ova = svm_train_multiclass(assigns, labels, leaves, mode=MODE_ONE_VS_ALL)
+        ovo = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ONE)
+        ova = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ALL)
         for s in test:
             assert svm_predict_multiclass(
                 ovo, s.assignment, leaves
@@ -210,9 +199,7 @@ class TestMulticlassSvm:
         train, _, leaves = sequence_classification_setup()
         monkeypatch.setattr(sequences, "dtw_grassmann", None)  # any warp would raise TypeError
         with pytest.raises(ConfigError, match="c must be positive and finite"):
-            svm_train_multiclass(
-                [s.assignment for s in train], [s.label for s in train], leaves, c=-1.0
-            )
+            svm_train_multiclass(train, leaves, c=-1.0)
 
     @pytest.mark.parametrize("nu", [-1.0, 0.0, np.nan, 1e-200])
     def test_bad_nu_rejected_before_any_warp(self, monkeypatch, nu):
@@ -220,15 +207,36 @@ class TestMulticlassSvm:
         warps = []
         monkeypatch.setattr(sequences, "dtw_grassmann", lambda *a: warps.append(a))
         with pytest.raises(ConfigError, match="nu must be positive, with a nonzero square"):
-            svm_train_multiclass(
-                [s.assignment for s in train], [s.label for s in train], leaves, nu=nu
-            )
+            svm_train_multiclass(train, leaves, nu=nu)
         assert warps == []
 
-    def test_needs_two_classes(self, rng):
-        leaves = LeafSet([random_orthonormal(6, 2, rng)])
-        with pytest.raises(ConfigError):
-            svm_train_multiclass([np.array([0])], [1], leaves)
+    def test_needs_two_classes(self):
+        train, _, leaves = sequence_classification_setup()
+        one_class = [s for s in train if s.label == train[0].label]
+        with pytest.raises(ConfigError, match="need at least two classes"):
+            svm_train_multiclass(one_class, leaves)
+
+    @pytest.mark.parametrize(
+        "settings, unlabelled, match",
+        [
+            ({"mode": "both"}, False, "unknown mode"),
+            ({"mode": MODE_ONE_VS_ONE, "open_set": True}, False, "requires a one-vs-all model"),
+            ({"c": 0.0}, False, "c must be positive"),
+            ({"tol": np.nan}, False, "tol must be positive"),
+            ({"nu": -1.0}, False, "nu must be positive"),
+            ({}, True, "training sequences need labels"),
+        ],
+        ids=["unknown-mode", "open-ovo", "c-zero", "tol-nan", "nu-negative", "unlabelled"],
+    )
+    def test_rejected_before_any_assignment(self, monkeypatch, settings, unlabelled, match):
+        # Fresh samples: training assigns them, so a rejection must come first.
+        train, _, leaves = sequence_classification_setup(assign=False)
+        if unlabelled:
+            train[-1].label = None
+        monkeypatch.setattr(sequences, "assign_to_leaves", None)  # an assignment raises TypeError
+        with pytest.raises(ConfigError, match=match):
+            svm_train_multiclass(train, leaves, **settings)
+        assert all(s.assignment is None for s in train)
 
 
 def full_column_scores(model, psi, leaves):
@@ -247,13 +255,7 @@ class TestDecisionScoresExact:
     @pytest.mark.parametrize("mode", [MODE_ONE_VS_ONE, MODE_ONE_VS_ALL])
     def test_matches_full_column(self, mode, tmp_path):
         train, test, leaves = sequence_classification_setup(seed=5, classes=4)
-        model = svm_train_multiclass(
-            [s.assignment for s in train],
-            [s.label for s in train],
-            leaves,
-            mode=mode,
-            open_set=mode == MODE_ONE_VS_ALL,
-        )
+        model = svm_train_multiclass(train, leaves, mode=mode, open_set=mode == MODE_ONE_VS_ALL)
         path = tmp_path / "svm.uosm"
         save_model_bundle(path, leaves, model)
         loaded_leaves, loaded = load_model_bundle(path)
@@ -287,12 +289,7 @@ class TestOpenSetSvm:
         train, test, leaves = sequence_classification_setup(seed=11, classes=4)
         held_out = 3
         kept_train = [s for s in train if s.label != held_out]
-        model = svm_train_multiclass(
-            [s.assignment for s in kept_train],
-            [s.label for s in kept_train],
-            leaves,
-            mode=MODE_ONE_VS_ALL,
-        )
+        model = svm_train_multiclass(kept_train, leaves, mode=MODE_ONE_VS_ALL)
         known = [s for s in test if s.label != held_out]
         unknown = [s for s in test if s.label == held_out]
         known_preds = [open_set_svm(model, s.assignment, leaves) for s in known]
@@ -304,39 +301,25 @@ class TestOpenSetSvm:
 
     def test_requires_one_vs_all(self):
         train, _, leaves = sequence_classification_setup(seed=2)
-        model = svm_train_multiclass(
-            [s.assignment for s in train],
-            [s.label for s in train],
-            leaves,
-            mode=MODE_ONE_VS_ONE,
-        )
+        model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ONE)
         with pytest.raises(ConfigError):
             open_set_svm(model, train[0].assignment, leaves)
 
     def test_open_set_one_vs_one_model_rejected(self, monkeypatch):
         train, _, leaves = sequence_classification_setup(seed=2)
-        model = svm_train_multiclass(
-            [s.assignment for s in train], [s.label for s in train], leaves, mode=MODE_ONE_VS_ONE
-        )
+        model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ONE)
         with pytest.raises(ConfigError, match="requires a one-vs-all model"):
             replace(model, open_set=True)
         kernels = []
         monkeypatch.setattr(svm, "dtw_distance_matrix", lambda *args: kernels.append(args))
         with pytest.raises(ConfigError, match="requires a one-vs-all model"):
-            svm_train_multiclass(
-                model.train_assignments, model.labels, leaves, mode=MODE_ONE_VS_ONE, open_set=True
-            )
+            svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ONE, open_set=True)
         assert kernels == []  # rejected before the kernel
 
     def test_all_negative_scores_give_new(self, rng):
         # kernels bounded by 1 with a large negative bias force rejection
         train, _, leaves = sequence_classification_setup(seed=2)
-        model = svm_train_multiclass(
-            [s.assignment for s in train],
-            [s.label for s in train],
-            leaves,
-            mode=MODE_ONE_VS_ALL,
-        )
+        model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ALL)
         for key in model.models:
             binary, idx = model.models[key]
             binary.bias -= 1e6
@@ -346,12 +329,7 @@ class TestOpenSetSvm:
         # zeroed dual variables and bias make every decision value exactly 0;
         # the acceptance rule is strict, so the maximum score 0 rejects
         train, _, leaves = sequence_classification_setup(seed=2)
-        model = svm_train_multiclass(
-            [s.assignment for s in train],
-            [s.label for s in train],
-            leaves,
-            mode=MODE_ONE_VS_ALL,
-        )
+        model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ALL)
         for key in model.models:
             binary, _ = model.models[key]
             binary.alpha[:] = 0.0
