@@ -53,6 +53,7 @@ class KnnModel:
     exceeds varsigma times the class ceiling (fitted on the first prediction)."""
 
     train: list[SequenceSample]
+    leaves: LeafSet
     k: int = 3
     open_set: bool = False
     varsigma: float = 1.2
@@ -75,13 +76,13 @@ class KnnModel:
     def classes(self) -> list[int]:
         return sorted({int(s.label) for s in self.train})
 
-    def fit_ceilings(self, leaves: LeafSet) -> None:
+    def fit_ceilings(self) -> None:
         if self.open_set and self.ceilings is None:
-            self.ceilings = class_distance_ceilings(self.train, leaves, self.k)
+            self.ceilings = class_distance_ceilings(self.train, self.leaves, self.k)
 
-    def predict(self, test: SequenceSample, leaves: LeafSet) -> int | None:
-        self.fit_ceilings(leaves)
-        scores = class_distances(test, self.train, leaves, self.k)
+    def predict(self, test: SequenceSample) -> int | None:
+        self.fit_ceilings()
+        scores = class_distances(test, self.train, self.leaves, self.k)
         best = min(scores, key=lambda cid: (scores[cid], cid))
         if self.open_set and not scores[best] <= self.ceilings[best] * self.varsigma:
             return None
@@ -96,20 +97,19 @@ def bundle_kind(model) -> int:
     return next(kind for kind, stored in KINDS.items() if stored == key)
 
 
-def predict(model, sample: SequenceSample, leaves: LeafSet):
+def predict(model, sample: SequenceSample):
     """Class id of `sample`, or None when an open-set model rejects it."""
     if isinstance(model, KnnModel):
-        return model.predict(sample, leaves)
-    if model.open_set:
-        return open_set_svm(model, assigned(sample, leaves), leaves)
-    return svm_predict_multiclass(model, assigned(sample, leaves), leaves)
+        return model.predict(sample)
+    psi = assigned(sample, model.leaves)
+    return open_set_svm(model, psi) if model.open_set else svm_predict_multiclass(model, psi)
 
 
-def save_model_bundle(path, leaves: LeafSet, model) -> None:
+def save_model_bundle(path, model) -> None:
     """Write `model` with its leaf bases; the kind follows from the model."""
     writer = Writer(BUNDLE_MAGIC, BUNDLE_VERSION)
     writer.fields("B", bundle_kind(model))
-    writer.matrices(leaves.bases)
+    writer.matrices(model.leaves.bases)
     if isinstance(model, KnnModel):
         writer.fields("Id", model.k, model.varsigma)
         ceilings = model.ceilings or {}
@@ -122,7 +122,7 @@ def save_model_bundle(path, leaves: LeafSet, model) -> None:
                 raise ConfigError("training sequences need labels")
             writer.fields("i", s.label)
             writer.matrix(s.features)
-            writer.indices(assigned(s, leaves))
+            writer.indices(assigned(s, model.leaves))
     else:
         writer.fields("ddI", model.nu, model.c, len(model.train_assignments))
         for label, psi in zip(model.labels, model.train_assignments):
@@ -145,7 +145,7 @@ def _check(ok, message: str) -> None:
 
 
 def load_model_bundle(path):
-    """Load a bundle; returns (leaves, model).
+    """Load a bundle's model, which holds the bundle's leaf set.
 
     Beyond the codec's checks, assignments must index the stored leaves,
     k-NN frames must match their dimension, and the SVM binary models must
@@ -171,11 +171,11 @@ def load_model_bundle(path):
                 feats = reader.matrix()
                 _check(len(feats) == leaves.ambient_dim, "training frames do not match the leaves")
                 psi = reader.indices(len(leaves))
-                train.append(SequenceSample(features=feats, label=label, assignment=psi))
+                train.append(SequenceSample(feats, label, psi, leaves))
             labels = [s.label for s in train]
             _check(not ceilings or set(ceilings) == set(labels),
                    "ceilings do not match the training classes")
-            model = KnnModel(train, k, open_set, varsigma, ceilings or None)
+            model = KnnModel(train, leaves, k, open_set, varsigma, ceilings or None)
         else:
             nu, c, n_train = reader.fields("ddI")
             labels = []
@@ -204,6 +204,7 @@ def load_model_bundle(path):
             model = MulticlassSvmModel(
                 mode=mode,
                 classes=classes,
+                leaves=leaves,
                 train_assignments=assignments,
                 labels=np.asarray(labels, dtype=int),
                 nu=nu,
@@ -213,4 +214,4 @@ def load_model_bundle(path):
             )
         _check(labels, "bundle holds no training sequences")
         reader.done()
-    return leaves, model
+    return model

@@ -390,7 +390,7 @@ def cmd_classify(args) -> int:
                 f"--model cannot be combined with config key(s) {', '.join(map(repr, fixed))}; "
                 "the saved bundle fixes them"
             )
-        leaves, model = load_model_bundle(args.model)
+        model = load_model_bundle(args.model)
         classifier = f"bundle:{bundle_kind(model)}"
     else:
         leaves = _load_leaves_for_classify(args, data_dir)
@@ -402,9 +402,8 @@ def cmd_classify(args) -> int:
             )
         open_set = args.open or cfg_bool(cfg, "open")
         if classifier == "knn":
-            model = KnnModel(
-                **config_values(KnnModel, cfg, train=train, open_set=open_set, ceilings=None)
-            )
+            given = dict(train=train, leaves=leaves, open_set=open_set, ceilings=None)
+            model = KnnModel(**config_values(KnnModel, cfg, **given))
         else:
             model = svm_train_multiclass(
                 train,
@@ -418,10 +417,10 @@ def cmd_classify(args) -> int:
             if stalled:
                 diag(f"SMO pass budget exhausted: binary models {', '.join(stalled)}")
     # Before the save: an open-set k-NN model fits its ceilings on its first prediction.
-    predictions = [predict(model, s, leaves) for s in test]
+    predictions = [predict(model, s) for s in test]
     known = set(model.classes)
     if args.save_model:
-        save_model_bundle(args.save_model, leaves, model)
+        save_model_bundle(args.save_model, model)
     for i, (sample, pred) in enumerate(zip(test, predictions)):
         emit(
             {
@@ -432,25 +431,17 @@ def cmd_classify(args) -> int:
                 "truth": sample.label,
             }
         )
-    truths = [s.label for s in test]
-    known_mask = [t in known for t in truths]
-    n_known = sum(known_mask)
-    n_unknown = len(test) - n_known
-    correct_known = sum(
-        1 for p, t, m in zip(predictions, truths, known_mask) if m and p == t
-    )
+    hits = [p == s.label for p, s in zip(predictions, test) if s.label in known]
+    unknown = [p for p, s in zip(predictions, test) if s.label not in known]
     summary = {
         "record": "classification_summary",
         "classifier": classifier,
         "n_test": len(test),
-        "known_accuracy": (correct_known / n_known) if n_known else None,
+        "known_accuracy": sum(hits) / len(hits) if hits else None,
     }
-    if n_unknown:
-        rejected = sum(
-            1 for p, m in zip(predictions, known_mask) if not m and p is None
-        )
-        summary["new_recall"] = rejected / n_unknown
-        summary["n_unknown"] = n_unknown
+    if unknown:
+        summary["new_recall"] = unknown.count(None) / len(unknown)
+        summary["n_unknown"] = len(unknown)
     emit(summary)
     return 0
 
@@ -491,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
     p.add_argument("--clusters", type=int)
     p.add_argument("--out", help="write predicted labels to this file")
-    p.add_argument("--emit-csv", help="write per-iteration residuals as CSV")
-    p.add_argument("--verbose", action="store_true", help="residual log on stderr")
+    p.add_argument("--emit-csv", help="per-iteration r1 (max column norm of X-XZ-E) and r2 as CSV")
+    p.add_argument("--verbose", action="store_true", help="log r1, r2 and mu on stderr")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("hierarchy", help="hierarchical subspace clustering")
@@ -536,6 +527,9 @@ def cli_main(argv=None) -> int:
     except NumericalError as exc:
         diag(f"numerical failure: {exc}")
         return 3
+    except MemoryError as exc:
+        diag(f"error: out of memory: {exc}")
+        return 2
     except UosError as exc:
         diag(f"error: {exc}")
         return 2

@@ -30,6 +30,8 @@ class SequenceSample:
     features: np.ndarray
     label: int | None = None
     assignment: np.ndarray | None = None
+    # The leaf set that `assignment` indexes, bound by `assigned`.
+    leaves: LeafSet | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.features = as_unit_columns(self.features, "sequence")
@@ -73,6 +75,12 @@ class LeafSet:
 
     def __len__(self) -> int:
         return len(self.bases)
+
+    def __eq__(self, other) -> bool:
+        # Element-equal bases: a leaf set reloaded from its file equals the saved one.
+        return isinstance(other, LeafSet) and len(self) == len(other) and all(
+            map(np.array_equal, self.bases, other.bases)
+        )
 
 
 def assign_to_leaves(sample, leaves: LeafSet) -> np.ndarray:
@@ -256,9 +264,19 @@ def sequence_distance(
 
 
 def assigned(sample: SequenceSample, leaves: LeafSet) -> np.ndarray:
-    """`sample.assignment`, assigned to `leaves` on first use; a sample keeps it."""
-    if sample.assignment is None:
-        sample.assignment = assign_to_leaves(sample, leaves)
+    """`sample.assignment`, assigned to `leaves` on first use; a sample keeps it.
+
+    The first leaf set to read it owns it: another (neither that object nor
+    one with element-equal bases) is a ConfigError."""
+    if sample.leaves is None:
+        if sample.assignment is None:
+            sample.assignment = assign_to_leaves(sample, leaves)
+        sample.leaves = leaves
+    elif sample.leaves is not leaves and sample.leaves != leaves:
+        raise ConfigError(
+            f"a sample assigned to one leaf set ({len(sample.leaves)} leaves) "
+            f"cannot be read with another ({len(leaves)} leaves)"
+        )
     return sample.assignment
 
 

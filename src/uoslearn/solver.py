@@ -139,7 +139,8 @@ class SolverState:
 class SolveResult:
     z: np.ndarray
     e: np.ndarray
-    residual_history: np.ndarray  # shape (iterations, 2): inf-norm residuals
+    # shape (iterations, 2): max column l2 norm of X - XZ - E, max |Z - Q|
+    residual_history: np.ndarray
     converged: bool
     iterations: int
 
@@ -267,7 +268,7 @@ def cslrr_solve(
     F has `clusters` columns; 1 <= clusters <= N is checked before any work.
     Iterates Z -> Q -> F -> E updates, multiplier ascent
     G1 += mu(X - XZ - E), G2 += mu(Z - Q), and mu <- min(mu_max, rho*mu),
-    stopping when ||X - XZ - E||_inf <= eps and ||Z - Q||_inf <= eps or
+    stopping when max_i ||(X - XZ - E)_i||_2 <= eps and ||Z - Q||_inf <= eps or
     after max_iters iterations (in which case the result is flagged
     non-converged). The F update runs only when beta > 0: at beta = 0,
     Theta keeps its zero start and beta*Theta is the same +0 an update
@@ -318,7 +319,8 @@ def cslrr_solve(
             and np.all(np.isfinite(state.e))
         ):
             raise NumericalError(f"non-finite iterate at iteration {state.t}")
-        r1 = float(np.abs(r1_mat).max())
+        # The largest column norm, which a rotation of the samples cannot change.
+        r1 = float(np.linalg.norm(r1_mat, axis=0).max())
         r2 = float(np.abs(r2_mat).max())
         # Not kept alive through the next iteration's SVT and F step.
         del r1_mat, r2_mat

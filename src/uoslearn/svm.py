@@ -232,6 +232,7 @@ class MulticlassSvmModel:
 
     mode: str  # "one_vs_one" | "one_vs_all"
     classes: list[int]
+    leaves: LeafSet  # the leaf set that `train_assignments` and every psi index
     train_assignments: list[np.ndarray]
     labels: np.ndarray
     nu: float
@@ -248,7 +249,7 @@ class MulticlassSvmModel:
         rows = [idx[model.alpha != 0] for model, idx in self.models.values()]
         self.support = np.unique(np.concatenate([np.empty(0, int), *rows]))
 
-    def decision_scores(self, psi, leaves: LeafSet) -> dict:
+    def decision_scores(self, psi) -> dict:
         # A row outside `support` has alpha = +/-0 in every model, so its
         # term (alpha * y) * k is the same signed zero for k = 0 as for
         # any kernel value k >= 0: its entry stays 0 and is never warped.
@@ -256,7 +257,7 @@ class MulticlassSvmModel:
         d = dtw_distance_matrix(
             [self.train_assignments[i] for i in self.support],
             [np.asarray(psi, int)],
-            leaves,
+            self.leaves,
         )
         kcol[self.support] = gaussian_kernel(d[:, 0], self.nu)
         return {
@@ -313,6 +314,7 @@ def svm_train_multiclass(
     return MulticlassSvmModel(
         mode=mode,
         classes=classes,
+        leaves=leaves,
         train_assignments=assignments,
         labels=labels,
         nu=float(nu),
@@ -322,9 +324,9 @@ def svm_train_multiclass(
     )
 
 
-def svm_predict_multiclass(model: MulticlassSvmModel, psi, leaves: LeafSet) -> int:
+def svm_predict_multiclass(model: MulticlassSvmModel, psi) -> int:
     """Majority vote (one-vs-one) or maximum score (one-vs-all); ties to lowest class."""
-    scores = model.decision_scores(psi, leaves)
+    scores = model.decision_scores(psi)
     if model.mode == MODE_ONE_VS_ONE:
         votes = {ci: 0 for ci in model.classes}
         for (ci, cj), score in scores.items():
@@ -333,9 +335,9 @@ def svm_predict_multiclass(model: MulticlassSvmModel, psi, leaves: LeafSet) -> i
     return max(model.classes, key=lambda ci: (scores[ci], -ci))
 
 
-def open_set_svm(model: MulticlassSvmModel, psi, leaves: LeafSet) -> int | None:
+def open_set_svm(model: MulticlassSvmModel, psi) -> int | None:
     """Top-scoring one-vs-all class if its score is strictly positive, else None."""
     check_open_set_mode(model.mode, True)
-    scores = model.decision_scores(psi, leaves)
+    scores = model.decision_scores(psi)
     best = max(model.classes, key=lambda ci: (scores[ci], -ci))
     return best if scores[best] > 0 else None

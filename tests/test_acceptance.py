@@ -290,13 +290,13 @@ def test_criterion_8_classification_desk_scale():
     assert len(train) == 80 and len(test) == 40
 
     knn_acc = np.mean(
-        [KnnModel(train, k=3).predict(s, leaves) == s.label for s in test]
+        [KnnModel(train, leaves, k=3).predict(s) == s.label for s in test]
     )
     assert knn_acc >= 0.90
 
     model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ONE)
     svm_acc = np.mean(
-        [svm_predict_multiclass(model, s.assignment, leaves) == s.label for s in test]
+        [svm_predict_multiclass(model, s.assignment) == s.label for s in test]
     )
     assert svm_acc >= 0.90
 
@@ -305,8 +305,8 @@ def test_criterion_8_classification_desk_scale():
     ceilings = class_distance_ceilings(kept, leaves, k=3)
     best = None
     for varsigma in (1.05, 1.2, 1.5, 2.0, 3.0):
-        model = KnnModel(kept, k=3, open_set=True, varsigma=varsigma, ceilings=ceilings)
-        preds = [model.predict(s, leaves) for s in test]
+        model = KnnModel(kept, leaves, k=3, open_set=True, varsigma=varsigma, ceilings=ceilings)
+        preds = [model.predict(s) for s in test]
         known = [(p, s.label) for p, s in zip(preds, test) if s.label != held_out]
         unknown = [p for p, s in zip(preds, test) if s.label == held_out]
         known_acc = np.mean([p == t for p, t in known])

@@ -55,7 +55,7 @@ def test_dtw_spans_are_counted_per_pair(tracer):
     run = tracer.Tracer()
     with run.installed():
         svm_train_multiclass(train, leaves)
-        KnnModel(train, k=2, open_set=True).predict(probe, leaves)
+        KnnModel(train, leaves, k=2, open_set=True).predict(probe)
     spans = Counter(s.name for s in run.spans)
     sizes = Counter(s.label for s in train).values()
     assert spans["svm.kernel"] == 1
@@ -81,7 +81,7 @@ def test_svm_prediction_warps_only_support_rows(tracer):
         support.update(idx[binary.alpha != 0].tolist())
     run = tracer.Tracer()
     with run.installed():
-        svm_predict_multiclass(model, assign_to_leaves(probe, leaves), leaves)
+        svm_predict_multiclass(model, assign_to_leaves(probe, leaves))
     spans = Counter(s.name for s in run.spans)
     assert 0 < len(support) < len(train)
     assert spans["svm.kernel"] == 1

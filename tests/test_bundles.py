@@ -39,30 +39,45 @@ def setup_data(seed=0):
 class TestKnnBundle:
     def test_round_trip_and_predictions_match(self, tmp_path):
         train, test, leaves = setup_data()
-        model = KnnModel(train=train, k=2)
+        model = KnnModel(train=train, leaves=leaves, k=2)
         path = tmp_path / "knn.uosm"
-        save_model_bundle(path, leaves, model)
-        loaded_leaves, loaded = load_model_bundle(path)
+        save_model_bundle(path, model)
+        loaded = load_model_bundle(path)
         kind = bundle_kind(loaded)
         assert kind == KIND_KNN
-        for a, b in zip(leaves.bases, loaded_leaves.bases):
+        for a, b in zip(leaves.bases, loaded.leaves.bases):
             assert a.tobytes() == b.tobytes()
         for probe in test[:4]:
-            assert predict(loaded, probe, loaded_leaves) == model.predict(
-                probe, leaves
-            )
+            assert predict(loaded, probe) == model.predict(probe)
 
     def test_open_knn_round_trip(self, tmp_path):
         train, test, leaves = setup_data(seed=2)
-        model = KnnModel(train=train, k=2, open_set=True, varsigma=1.3)
-        model.fit_ceilings(leaves)
+        model = KnnModel(train=train, leaves=leaves, k=2, open_set=True, varsigma=1.3)
+        model.fit_ceilings()
         path = tmp_path / "knn-open.uosm"
-        save_model_bundle(path, leaves, model)
-        _, loaded = load_model_bundle(path)
+        save_model_bundle(path, model)
+        loaded = load_model_bundle(path)
         kind = bundle_kind(loaded)
         assert kind == KIND_KNN_OPEN
         assert loaded.varsigma == 1.3
         assert loaded.ceilings == model.ceilings
+
+
+@pytest.mark.parametrize("classifier", ["knn", "svm-ovo"])
+def test_reloaded_model_reads_the_samples_its_original_assigned(tmp_path, classifier):
+    train, test, leaves = setup_data(seed=3)
+    train, test = ([SequenceSample(s.features, s.label) for s in part] for part in (train, test))
+    if classifier == "knn":
+        model = KnnModel(train, leaves, k=2)
+    else:
+        model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ONE)
+    preds = [predict(model, s) for s in test]
+    assert all(s.leaves is leaves for s in train + test)
+    path = tmp_path / "model.uosm"
+    save_model_bundle(path, model)
+    loaded = load_model_bundle(path)
+    assert loaded.leaves is not leaves
+    assert [predict(loaded, s) for s in test] == preds
 
 
 class TestSvmBundle:
@@ -70,8 +85,8 @@ class TestSvmBundle:
         train, test, leaves = setup_data(seed=5)
         model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ONE)
         path = tmp_path / "svm.uosm"
-        save_model_bundle(path, leaves, model)
-        loaded_leaves, loaded = load_model_bundle(path)
+        save_model_bundle(path, model)
+        loaded = load_model_bundle(path)
         kind = bundle_kind(loaded)
         assert kind == KIND_SVM_OVO
         assert loaded.nu == model.nu
@@ -83,17 +98,17 @@ class TestSvmBundle:
             assert ma.bias == mb.bias
             assert np.array_equal(ia, ib)
         for probe in test[:5]:
-            assert predict(loaded, probe, loaded_leaves) == predict(model, probe, leaves)
+            assert predict(loaded, probe) == predict(model, probe)
 
     def test_open_ova_round_trip(self, tmp_path):
         train, test, leaves = setup_data(seed=7)
         model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ALL, open_set=True)
         path = tmp_path / "svm-open.uosm"
-        save_model_bundle(path, leaves, model)
-        _, loaded = load_model_bundle(path)
+        save_model_bundle(path, model)
+        loaded = load_model_bundle(path)
         kind = bundle_kind(loaded)
         assert kind == KIND_SVM_OPEN
-        preds = [predict(loaded, s, leaves) for s in test[:5]]
+        preds = [predict(loaded, s) for s in test[:5]]
         assert all(p is None or isinstance(p, int) for p in preds)
 
     @pytest.mark.parametrize(
@@ -105,12 +120,12 @@ class TestSvmBundle:
         train, test, leaves = setup_data(seed=5)
         model = svm_train_multiclass(train, leaves, mode=mode, open_set=open_set)
         path = tmp_path / "svm.uosm"
-        save_model_bundle(path, leaves, model)
-        loaded_leaves, loaded = load_model_bundle(path)
-        for m, lv in ((model, leaves), (loaded, loaded_leaves)):
+        save_model_bundle(path, model)
+        loaded = load_model_bundle(path)
+        for m in (model, loaded):
             for s in test:
                 fresh = SequenceSample(features=s.features, label=s.label)
-                assert predict(m, fresh, lv) == predict(m, s, lv)
+                assert predict(m, fresh) == predict(m, s)
                 assert np.array_equal(fresh.assignment, s.assignment)
 
     @pytest.mark.parametrize(
@@ -128,7 +143,7 @@ class TestSvmBundle:
         model = svm_train_multiclass(train, leaves, mode=mode)
         tamper(model)
         path = tmp_path / "svm.uosm"
-        save_model_bundle(path, leaves, model)
+        save_model_bundle(path, model)
         with pytest.raises(DataError, match=match):
             load_model_bundle(path)
 
@@ -164,19 +179,19 @@ class TestBundleScalarChecks:
     )
     def test_knn_scalars(self, tmp_path, tamper, match):
         train, _, leaves = setup_data(seed=2)
-        model = KnnModel(train=train, k=2, open_set=True, varsigma=1.3)
-        model.fit_ceilings(leaves)
+        model = KnnModel(train=train, leaves=leaves, k=2, open_set=True, varsigma=1.3)
+        model.fit_ceilings()
         tamper(model)
         path = tmp_path / "knn-open.uosm"
-        save_model_bundle(path, leaves, model)
+        save_model_bundle(path, model)
         with pytest.raises(DataError, match=match):
             load_model_bundle(path)
 
     def test_closed_knn_keeps_any_finite_varsigma(self, tmp_path):
         train, _, leaves = setup_data(seed=2)
         path = tmp_path / "knn.uosm"
-        save_model_bundle(path, leaves, KnnModel(train=train, k=2, varsigma=0.5))
-        assert load_model_bundle(path)[1].varsigma == 0.5
+        save_model_bundle(path, KnnModel(train=train, leaves=leaves, k=2, varsigma=0.5))
+        assert load_model_bundle(path).varsigma == 0.5
 
     @pytest.mark.parametrize(
         "tamper, match",
@@ -198,7 +213,7 @@ class TestBundleScalarChecks:
         model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ALL)
         tamper(model)
         path = tmp_path / "svm.uosm"
-        save_model_bundle(path, leaves, model)
+        save_model_bundle(path, model)
         with pytest.raises(DataError, match=match) as exc:
             load_model_bundle(path)
         assert str(exc.value).startswith(f"{path}: ")

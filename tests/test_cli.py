@@ -687,6 +687,24 @@ class TestConfigKeys:
         assert records == []
         assert "empty config key" in err
 
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path):
+        # The generator's m x m rotation asks for 1.11 EiB, more than any
+        # address space holds, so the allocation fails at once; no limit is set.
+        out = tmp_path / "newdir"
+        command = [
+            sys.executable, "-c", "from uoslearn.cli import main; main()", "synth",
+            "--set", "kind=uos", "--set", "m=400000000", "--set", "subspaces=2",
+            "--set", "dim=2", "--set", "points=5", "--out", str(out),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: out of memory: ")
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

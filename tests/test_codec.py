@@ -393,7 +393,7 @@ class TestFormatLayout:
             for n, lbl in ((2, 0), (3, 4), (1, 4))
         ]
         ceilings = {0: 0.25, 4: 0.5} if open_set else None
-        model = KnnModel(train, k=1, open_set=open_set, varsigma=1.5, ceilings=ceilings)
+        model = KnnModel(train, leaves, k=1, open_set=open_set, varsigma=1.5, ceilings=ceilings)
         kind = KIND_KNN_OPEN if open_set else KIND_KNN
         expected = b"UOSM" + struct.pack("<I", 1) + struct.pack("<B", kind)
         expected += leaf_bytes(leaves.bases) + struct.pack("<Id", 1, 1.5)
@@ -406,10 +406,10 @@ class TestFormatLayout:
             expected += struct.pack("<II", *s.features.shape) + f8(s.features)
             expected += struct.pack("<I", s.length) + u4(s.assignment)
         path = written(
-            monkeypatch, tmp_path / "knn.uosm", lambda p: save_model_bundle(p, leaves, model)
+            monkeypatch, tmp_path / "knn.uosm", lambda p: save_model_bundle(p, model)
         )
         assert path.read_bytes() == expected
-        _, loaded = load_model_bundle(path)
+        loaded = load_model_bundle(path)
         loaded_kind = bundle_kind(loaded)
         assert loaded_kind == kind
         assert (loaded.k, loaded.varsigma, loaded.ceilings) == (1, 1.5, ceilings)
@@ -434,7 +434,8 @@ class TestFormatLayout:
             models[key] = (binary, idx)
         mode = "one_vs_one" if kind == KIND_SVM_OVO else "one_vs_all"
         model = MulticlassSvmModel(
-            mode, [1, 3, 6], assignments, labels, 0.75, 10.0, models, kind == KIND_SVM_OPEN
+            mode, [1, 3, 6], leaves, assignments, labels, 0.75, 10.0, models,
+            kind == KIND_SVM_OPEN,
         )
         expected = b"UOSM" + struct.pack("<I", 1) + struct.pack("<B", kind)
         expected += leaf_bytes(leaves.bases) + struct.pack("<dd", 0.75, 10.0)
@@ -450,10 +451,10 @@ class TestFormatLayout:
         path = written(
             monkeypatch,
             tmp_path / "svm.uosm",
-            lambda p: save_model_bundle(p, leaves, model),
+            lambda p: save_model_bundle(p, model),
         )
         assert path.read_bytes() == expected
-        _, loaded = load_model_bundle(path)
+        loaded = load_model_bundle(path)
         loaded_kind = bundle_kind(loaded)
         assert loaded_kind == kind
         assert (loaded.mode, loaded.classes, loaded.nu, loaded.c) == (mode, [1, 3, 6], 0.75, 10.0)

@@ -112,11 +112,10 @@ def test_damaged_file_is_a_data_error(pipeline, name, data):
     assert code == 2 if truncate and name not in TEXT else code in (0, 2)
 
 
-def k_of_9(raw, bundle):
+def k_of_9(raw, model):
     # A k-NN bundle stores u32 k right after its kind byte and leaf bases,
     # which are encoded as in the leaf file after its 8-byte header.
-    leaves, model = bundle
-    at = 9 + 4 + sum(8 + 8 * basis.size for basis in leaves.bases)
+    at = 9 + 4 + sum(8 + 8 * basis.size for basis in model.leaves.bases)
     assert struct.unpack_from("<I", raw, at) == (model.k,) == (1,)
     return raw[:at] + struct.pack("<I", 9) + raw[at + 4 :]
 
@@ -168,17 +167,17 @@ BAD_VALUES = {
     ),
     "knn-leaf-basis-scaled": (
         "knn",
-        lambda raw, bundle: replaced(raw, bundle[0].bases[0], tripled),
+        lambda raw, model: replaced(raw, model.leaves.bases[0], tripled),
         "leaf " + NOT_ORTHONORMAL,
     ),
     "knn-frame-nan": (
         "knn",
-        lambda raw, bundle: replaced(raw, bundle[1].train[0].features, nan_first),
+        lambda raw, model: replaced(raw, model.train[0].features, nan_first),
         "sequence contains non-finite entries",
     ),
     "knn-frame-doubled": (
         "knn",
-        lambda raw, bundle: replaced(raw, bundle[1].train[0].features, lambda f: 2 * f),
+        lambda raw, model: replaced(raw, model.train[0].features, lambda f: 2 * f),
         r"sequence columns must have unit l2 norm; column \d+ has norm 2\.0",
     ),
 }

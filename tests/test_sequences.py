@@ -18,7 +18,9 @@ from uoslearn.sequences import (
     SequenceSample,
     align_features_dtw,
     assign_to_leaves,
+    assigned,
     class_distance_ceilings,
+    class_distances,
     dtw_distance_matrix,
     dtw_grassmann,
     gaussian_kernel,
@@ -437,7 +439,7 @@ class TestKnn:
         probe = SequenceSample(
             features=train[0].features.copy(), label=None
         )
-        assert KnnModel(train, k=1).predict(probe, leaves) == train[0].label
+        assert KnnModel(train, leaves, k=1).predict(probe) == train[0].label
 
     def test_two_class_margin(self, rng):
         e = np.eye(8)
@@ -447,13 +449,13 @@ class TestKnn:
         for s in near + far:
             s.assignment = assign_to_leaves(s, leaves)
         probe = seq_from_columns(e[:, [0, 0, 1]])
-        assert KnnModel(near + far, k=2).predict(probe, leaves) == 0
+        assert KnnModel(near + far, leaves, k=2).predict(probe) == 0
 
     def test_synthetic_accuracy(self):
         samples, leaves = make_sequence_dataset(seed=5, per_class=10)
         train, test = split_by_class(samples, 7)
         correct = sum(
-            KnnModel(train, k=3).predict(s, leaves) == s.label for s in test
+            KnnModel(train, leaves, k=3).predict(s) == s.label for s in test
         )
         assert correct / len(test) >= 0.9
 
@@ -461,44 +463,44 @@ class TestKnn:
         samples, leaves = make_sequence_dataset(seed=2)
         train, test = split_by_class(samples, 6)
         probe = test[0]
-        a = KnnModel(train, k=2).predict(probe, leaves)
-        b = KnnModel(list(reversed(train)), k=2).predict(probe, leaves)
+        a = KnnModel(train, leaves, k=2).predict(probe)
+        b = KnnModel(list(reversed(train)), leaves, k=2).predict(probe)
         assert a == b
 
     def test_single_class_returned_trivially(self):
         samples, leaves = make_sequence_dataset(seed=8, classes=1, per_class=4)
         train, _ = split_by_class(samples, 3)
         probe = SequenceSample(features=train[0].features.copy())
-        assert KnnModel(train, k=2).predict(probe, leaves) == 0
+        assert KnnModel(train, leaves, k=2).predict(probe) == 0
 
     def test_k_too_large_for_class(self):
         samples, leaves = make_sequence_dataset(per_class=3)
         train, _ = split_by_class(samples, 3)
         with pytest.raises(ConfigError):
-            KnnModel(train, k=4).predict(train[0], leaves)
+            KnnModel(train, leaves, k=4).predict(train[0])
 
     @pytest.mark.parametrize("open_set", [False, True])
     def test_empty_training_set_rejected(self, open_set):
         with pytest.raises(ConfigError, match="at least one training sequence"):
-            KnnModel([], k=1, open_set=open_set)
+            KnnModel([], LeafSet([np.eye(2)]), k=1, open_set=open_set)
 
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda t, tr, lv: KnnModel(tr, k=0).predict(t, lv), "k must be >= 1"),
-            (lambda t, tr, lv: KnnModel(tr, k=4).predict(t, lv), "class 0 has fewer than k=4"),
+            (lambda t, tr, lv: KnnModel(tr, lv, k=0).predict(t), "k must be >= 1"),
+            (lambda t, tr, lv: KnnModel(tr, lv, k=4).predict(t), "class 0 has fewer than k=4"),
             (
-                lambda t, tr, lv: KnnModel(tr, k=0, open_set=True).predict(t, lv),
+                lambda t, tr, lv: KnnModel(tr, lv, k=0, open_set=True).predict(t),
                 "k must be >= 1",
             ),
             (
-                lambda t, tr, lv: KnnModel(tr, k=3, open_set=True).predict(t, lv),
+                lambda t, tr, lv: KnnModel(tr, lv, k=3, open_set=True).predict(t),
                 "class 0 needs more than k=3",
             ),
             (
                 lambda t, tr, lv: KnnModel(
-                    tr, k=4, open_set=True, ceilings={0: 1.0, 1: 1.0, 2: 1.0}
-                ).predict(t, lv),
+                    tr, lv, k=4, open_set=True, ceilings={0: 1.0, 1: 1.0, 2: 1.0}
+                ).predict(t),
                 "class 0 has fewer than k=4",
             ),
             (lambda t, tr, lv: class_distance_ceilings(tr, lv, k=0), "k must be >= 1"),
@@ -521,12 +523,61 @@ class TestKnn:
         assert warps == []
 
 
+def knn_two_class_split():
+    cfg = SequenceSynthConfig(
+        m=16, leaves=4, leaf_dim=2, classes=2, sequences_per_class=6, jitter=0.02, seed=1
+    )
+    samples, leaves = generate_synthetic_sequences(cfg)
+    train, test = split_by_class(samples, 4)
+    return train, test, leaves
+
+
+def clash(assigned_to, read_with):
+    return (
+        rf"a sample assigned to one leaf set \({assigned_to} leaves\) "
+        rf"cannot be read with another \({read_with} leaves\)"
+    )
+
+
+class TestAssignmentOwnership:
+    """An assignment indexes the leaf set that made it; another leaf set is refused."""
+
+    def test_a_model_over_fewer_leaves_is_refused(self):
+        train, test, leaves = knn_two_class_split()
+        assert KnnModel(train, leaves, k=2).predict(test[0]) == test[0].label
+        with pytest.raises(ConfigError, match=clash(4, 2)):
+            KnnModel(train, LeafSet(leaves.bases[:2]), k=2).predict(test[0])
+
+    def test_a_reordered_non_orthogonal_leaf_set_is_refused(self, rng):
+        train, test, _ = knn_two_class_split()
+        bases = [random_orthonormal(16, 2, rng) for _ in range(4)]
+        first, reordered = LeafSet(bases), LeafSet(bases[::-1])
+        assert 0 < first.distances[0, 1] < 1  # the leaves overlap
+        before = class_distances(test[0], train, first, k=2)
+        with pytest.raises(ConfigError, match=clash(4, 4)):
+            class_distances(test[0], train, reordered, k=2)
+        fresh = [SequenceSample(s.features, s.label) for s in [test[0], *train]]
+        after = class_distances(fresh[0], fresh[1:], reordered, k=2)
+        assert after == pytest.approx(before, abs=1e-12)
+
+    def test_the_same_or_an_equal_leaf_set_reads_a_given_assignment(self):
+        train, _, leaves = knn_two_class_split()
+        sample = train[0]
+        given = SequenceSample(sample.features, assignment=assign_to_leaves(sample, leaves))
+        equal = LeafSet([b.copy() for b in leaves.bases])
+        assert assigned(given, equal) is given.assignment
+        assert given.leaves is equal
+        assert assigned(given, leaves) is assigned(given, equal) is given.assignment
+        with pytest.raises(ConfigError, match=clash(4, 4)):
+            assigned(given, LeafSet(leaves.bases[::-1]))
+
+
 class TestOpenSetKnn:
     def test_training_sequence_accepted(self):
         samples, leaves = make_sequence_dataset(seed=3)
         train, _ = split_by_class(samples, 6)
         probe = SequenceSample(features=train[2].features.copy())
-        got = KnnModel(train, k=2, open_set=True, varsigma=1.01).predict(probe, leaves)
+        got = KnnModel(train, leaves, k=2, open_set=True, varsigma=1.01).predict(probe)
         assert got == train[2].label
 
     def test_distant_probe_rejected(self, rng):
@@ -538,14 +589,14 @@ class TestOpenSetKnn:
             s.assignment = assign_to_leaves(s, leaves)
             train.append(s)
         probe = seq_from_columns(e[:, [2, 2, 2]])
-        assert KnnModel(train, k=2, open_set=True, varsigma=1.01).predict(probe, leaves) is None
+        assert KnnModel(train, leaves, k=2, open_set=True, varsigma=1.01).predict(probe) is None
 
     def test_huge_varsigma_never_rejects(self):
         samples, leaves = make_sequence_dataset(seed=4)
         train, test = split_by_class(samples, 6)
-        model = KnnModel(train, k=2, open_set=True, varsigma=1e6)
+        model = KnnModel(train, leaves, k=2, open_set=True, varsigma=1e6)
         for probe in test[:4]:
-            assert model.predict(probe, leaves) is not None
+            assert model.predict(probe) is not None
 
     def test_ceilings_missing_a_class_rejected_before_any_warp(self, monkeypatch):
         samples, leaves = make_sequence_dataset(per_class=4)
@@ -554,14 +605,14 @@ class TestOpenSetKnn:
         monkeypatch.setattr(sequences, "align_features_dtw", lambda a, b: warps.append((a, b)))
         missing = r"no ceiling for training class\(es\) 1, 2"
         with pytest.raises(ConfigError, match=missing):
-            KnnModel(train, k=2, open_set=True, ceilings={0: 1.0})
+            KnnModel(train, leaves, k=2, open_set=True, ceilings={0: 1.0})
         assert warps == []
 
     def test_nan_varsigma_rejected(self):
-        samples, _ = make_sequence_dataset(per_class=4)
+        samples, leaves = make_sequence_dataset(per_class=4)
         train, _ = split_by_class(samples, 3)
         with pytest.raises(ConfigError, match="open-set varsigma must be > 1"):
-            KnnModel(train, k=2, open_set=True, varsigma=np.nan)
+            KnnModel(train, leaves, k=2, open_set=True, varsigma=np.nan)
 
     def test_class_too_small(self):
         samples, leaves = make_sequence_dataset(per_class=3)
@@ -576,8 +627,8 @@ class TestOpenSetKnn:
             class_distance_ceilings(train, leaves, k=0)
         with pytest.raises(ConfigError, match="k must be >= 1"):
             KnnModel(
-                train, k=0, open_set=True, ceilings={0: 1.0, 1: 1.0, 2: 1.0}
-            ).predict(test[0], leaves)
+                train, leaves, k=0, open_set=True, ceilings={0: 1.0, 1: 1.0, 2: 1.0}
+            ).predict(test[0])
 
 
 class TestGaussianKernel:

@@ -108,7 +108,7 @@ def reference_solve(x, config, clusters, callback=None):
             and np.all(np.isfinite(state.e))
         ):
             raise NumericalError(f"non-finite iterate at iteration {state.t}")
-        r1 = float(np.abs(r1_mat).max())
+        r1 = float(np.linalg.norm(r1_mat, axis=0).max())
         r2 = float(np.abs(r2_mat).max())
         state.residuals.append((r1, r2))
         state.t += 1

@@ -174,7 +174,7 @@ class TestMulticlassSvm:
     def test_predicts_training_labels(self, mode):
         train, _, leaves = sequence_classification_setup()
         model = svm_train_multiclass(train, leaves, mode=mode)
-        preds = [svm_predict_multiclass(model, s.assignment, leaves) for s in train]
+        preds = [svm_predict_multiclass(model, s.assignment) for s in train]
         acc = np.mean([p == s.label for p, s in zip(preds, train)])
         assert acc >= 0.9
 
@@ -182,7 +182,7 @@ class TestMulticlassSvm:
     def test_generalizes(self, mode):
         train, test, leaves = sequence_classification_setup(seed=9)
         model = svm_train_multiclass(train, leaves, mode=mode)
-        preds = [svm_predict_multiclass(model, s.assignment, leaves) for s in test]
+        preds = [svm_predict_multiclass(model, s.assignment) for s in test]
         acc = np.mean([p == s.label for p, s in zip(preds, test)])
         assert acc >= 0.8
 
@@ -191,9 +191,9 @@ class TestMulticlassSvm:
         ovo = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ONE)
         ova = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ALL)
         for s in test:
-            assert svm_predict_multiclass(
-                ovo, s.assignment, leaves
-            ) == svm_predict_multiclass(ova, s.assignment, leaves)
+            assert svm_predict_multiclass(ovo, s.assignment) == svm_predict_multiclass(
+                ova, s.assignment
+            )
 
     def test_bad_c_rejected_before_any_warp(self, monkeypatch):
         train, _, leaves = sequence_classification_setup()
@@ -257,13 +257,13 @@ class TestDecisionScoresExact:
         train, test, leaves = sequence_classification_setup(seed=5, classes=4)
         model = svm_train_multiclass(train, leaves, mode=mode, open_set=mode == MODE_ONE_VS_ALL)
         path = tmp_path / "svm.uosm"
-        save_model_bundle(path, leaves, model)
-        loaded_leaves, loaded = load_model_bundle(path)
-        for m, lv in ((model, leaves), (loaded, loaded_leaves)):
+        save_model_bundle(path, model)
+        loaded = load_model_bundle(path)
+        for m in (model, loaded):
             assert 0 < len(m.support) < len(m.train_assignments)
             for s in test + train[:4]:
-                assert m.decision_scores(s.assignment, lv) == full_column_scores(
-                    m, s.assignment, lv
+                assert m.decision_scores(s.assignment) == full_column_scores(
+                    m, s.assignment, m.leaves
                 )
 
     def test_all_zero_alpha(self):
@@ -275,11 +275,12 @@ class TestDecisionScoresExact:
             for ci, b in ((0, -0.25), (1, 0.5), (2, 0.0))
         }
         model = MulticlassSvmModel(
-            MODE_ONE_VS_ALL, [0, 1, 2], [s.assignment for s in train], labels, 0.5, 10.0, models
+            MODE_ONE_VS_ALL, [0, 1, 2], leaves, [s.assignment for s in train], labels, 0.5, 10.0,
+            models,
         )
         assert len(model.support) == 0
         for s in test:
-            scores = model.decision_scores(s.assignment, leaves)
+            scores = model.decision_scores(s.assignment)
             assert scores == full_column_scores(model, s.assignment, leaves)
             assert scores == {0: -0.25, 1: 0.5, 2: 0.0}
 
@@ -292,8 +293,8 @@ class TestOpenSetSvm:
         model = svm_train_multiclass(kept_train, leaves, mode=MODE_ONE_VS_ALL)
         known = [s for s in test if s.label != held_out]
         unknown = [s for s in test if s.label == held_out]
-        known_preds = [open_set_svm(model, s.assignment, leaves) for s in known]
-        unknown_preds = [open_set_svm(model, s.assignment, leaves) for s in unknown]
+        known_preds = [open_set_svm(model, s.assignment) for s in known]
+        unknown_preds = [open_set_svm(model, s.assignment) for s in unknown]
         known_acc = np.mean([p == s.label for p, s in zip(known_preds, known)])
         rejected = np.mean([p is None for p in unknown_preds])
         assert known_acc >= 0.7
@@ -303,7 +304,7 @@ class TestOpenSetSvm:
         train, _, leaves = sequence_classification_setup(seed=2)
         model = svm_train_multiclass(train, leaves, mode=MODE_ONE_VS_ONE)
         with pytest.raises(ConfigError):
-            open_set_svm(model, train[0].assignment, leaves)
+            open_set_svm(model, train[0].assignment)
 
     def test_open_set_one_vs_one_model_rejected(self, monkeypatch):
         train, _, leaves = sequence_classification_setup(seed=2)
@@ -323,7 +324,7 @@ class TestOpenSetSvm:
         for key in model.models:
             binary, idx = model.models[key]
             binary.bias -= 1e6
-        assert open_set_svm(model, train[0].assignment, leaves) is None
+        assert open_set_svm(model, train[0].assignment) is None
 
     def test_score_exactly_zero_is_new(self):
         # zeroed dual variables and bias make every decision value exactly 0;
@@ -334,4 +335,4 @@ class TestOpenSetSvm:
             binary, _ = model.models[key]
             binary.alpha[:] = 0.0
             binary.bias = 0.0
-        assert open_set_svm(model, train[0].assignment, leaves) is None
+        assert open_set_svm(model, train[0].assignment) is None

@@ -77,7 +77,7 @@ class TestSequenceGenerator:
             s.assignment = assign_to_leaves(s, leaves)
         train, test = split_by_class(samples, 4)
         for s in test:
-            assert KnnModel(train, k=2).predict(s, leaves) == s.label
+            assert KnnModel(train, leaves, k=2).predict(s) == s.label
 
     def test_single_class(self):
         cfg = SequenceSynthConfig(
